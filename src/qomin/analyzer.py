@@ -14,7 +14,8 @@ from .models import Element, Window
 from .normal_form import Decomposition, decompose, witnesses
 from .qe import ComponentFormula, qe, simplify
 from .syntax import (
-    Div, Eq, Formula, Lt, TRUE, Term, Theory, free_vars, or_, print_formula,
+    Div, Eq, Formula, Solved, Term, Theory, atoms, free_vars, or_, print_formula,
+    solve_for,
 )
 
 POS = "+inf"
@@ -394,15 +395,10 @@ def one_var_intervals(f: Formula, var: str | None = None) -> list[Piece]:
         raise EvalError(f"unexpected free variables {sorted(fv - {var})}")
 
     bounds: set[Fraction] = set()
-    for atom in _atoms_of(out):
-        match atom:
-            case Lt(l, r) | Eq(l, r):
-                diff = l - r
-                n = diff.coeff(var)
-                if n == 0:
-                    continue
-                c = dict(diff.drop_var(var).consts).get("1", 0)
-                bounds.add(Fraction(-c, n))
+    for atom in atoms(out):
+        s = solve_for(atom, var)
+        if isinstance(s, Solved):
+            bounds.add(Fraction(dict(s.t.consts).get("1", 0), s.a))
     cuts = sorted(bounds)
     fn = models.compile_eval(Theory.DOAG_Q, out)
 
@@ -445,7 +441,3 @@ def one_var_intervals(f: Formula, var: str | None = None) -> list[Piece]:
         pieces.append(current)
     return pieces
 
-
-def _atoms_of(f: Formula):
-    from .syntax import atoms
-    return atoms(f)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import analyzer, corpus, models, normal_form
 from .errors import (
     DecompositionError, EvalError, NonSentenceError, ParseError, QominError,
-    SignatureError, UnsupportedTheoryError, WindowCapError,
+    ResourceCapError, SignatureError, UnsupportedTheoryError,
 )
 from .models import Window
 from .qe import ComponentFormula, decide, oracle_agreement, qe
@@ -396,7 +396,7 @@ def run(argv: list[str]) -> int:
         return _HANDLERS[args.verb](args, parser)
     except SystemExit as exc:  # parser.error inside a handler
         return 2 if exc.code else 0
-    except WindowCapError as exc:
+    except ResourceCapError as exc:
         print(f"qomin: resource cap: {exc}", file=sys.stderr)
         return 4
     except (ParseError, SignatureError, EvalError, NonSentenceError,

@@ -330,9 +330,3 @@ def windows(theory: Theory) -> tuple[Window, Window]:
     """(assignment window, quantifier search window) for the theory."""
     return WINDOWS[theory]
 
-
-def all_entries() -> list[CorpusEntry]:
-    out: list[CorpusEntry] = []
-    for theory in CORPUS:
-        out.extend(CORPUS[theory])
-    return out

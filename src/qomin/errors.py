@@ -21,7 +21,11 @@ class EvalError(QominError):
     """Evaluation failure: unbound variable, tag mismatch, stray quantifier."""
 
 
-class WindowCapError(QominError):
+class ResourceCapError(QominError):
+    """A computation would exceed a resource cap; the CLI exits 4."""
+
+
+class WindowCapError(ResourceCapError):
     """A window enumeration would exceed the configured element cap."""
 
 

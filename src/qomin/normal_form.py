@@ -27,8 +27,9 @@ from .qe import (
 )
 from .syntax import (
     And, Bool, Div, Eq, Exists, FALSE, Forall, Formula, Lt, Not, Or, Pred,
-    TRUE, Term, Theory, and_, bound_vars, free_vars, is_quantifier_free, or_,
-    print_formula, substitute, term_vars, to_nnf, validate,
+    Solved, TRUE, Term, Theory, and_, bound_vars, free_vars, is_quantifier_free,
+    map_atoms, or_, print_formula, solve_for, substitute, term_vars, to_nnf,
+    validate,
 )
 
 _LEX = (Theory.LEX_ZQ, Theory.LEX_ZZ)
@@ -464,29 +465,6 @@ class _Registry:
         return {self.name(j): j for j in range(len(self.specs))}
 
 
-def _coeff_split(t: Term, v: str) -> tuple[int, Term]:
-    return t.coeff(v), t.drop_var(v)
-
-
-def _drop_cancelled(a, x: str):
-    """An x-free equivalent when x's net coefficient in the atom is zero
-    (e.g. x + y = y + x), else None."""
-    match a:
-        case Eq(l, r):
-            if (l - r).coeff(x) == 0:
-                return Eq((l - r).drop_var(x), Term.zero())
-        case Lt(l, r):
-            if (l - r).coeff(x) == 0:
-                return Lt((l - r).drop_var(x), Term.zero())
-        case Div(m, t):
-            if t.coeff(x) == 0:
-                return Div(m, t.drop_var(x))
-        case Pred("del", k, (t,)):
-            if t.coeff(x) == 0:
-                return Pred("del", k, (t.drop_var(x),))
-    return None
-
-
 def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
     """Rewrite theta(x, ybar) into the disjunctive witnessed normal form.
 
@@ -519,14 +497,12 @@ def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
     replace = _REPLACERS[theory]
 
     def maybe_replace(a):
-        if x not in term_vars(a):
-            return a
-        dropped = _drop_cancelled(a, x)
-        if dropped is not None:
-            return dropped
-        return replace(a, x, reg)
+        s = solve_for(a, x)
+        if isinstance(s, Solved) or x in term_vars(s):
+            return replace(s, x, reg)
+        return s
 
-    g = _map_atoms_keeping(qf, maybe_replace)
+    g = map_atoms(qf, maybe_replace)
     g = simplify(to_nnf(g))
 
     rho_names = {reg.name(j): j for j in range(len(reg.specs))}
@@ -565,31 +541,6 @@ def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
     dec = Decomposition(theory, x, params, disjuncts, reg.specs)
     dec.check_shape()
     return dec
-
-
-def _map_atoms_keeping(f: Formula, fn) -> Formula:
-    from .syntax import Iff, Implies
-    match f:
-        case Lt() | Eq() | Div() | Pred():
-            return fn(f)
-        case Bool():
-            return f
-        case Not(arg):
-            return Not(_map_atoms_keeping(arg, fn))
-        case And(args):
-            return And(tuple(_map_atoms_keeping(a, fn) for a in args))
-        case Or(args):
-            return Or(tuple(_map_atoms_keeping(a, fn) for a in args))
-        case Implies(l, r):
-            return Implies(_map_atoms_keeping(l, fn), _map_atoms_keeping(r, fn))
-        case Iff(l, r):
-            return Iff(_map_atoms_keeping(l, fn), _map_atoms_keeping(r, fn))
-        case Exists(v, body):
-            return Exists(v, _map_atoms_keeping(body, fn))
-        case Forall(v, body):
-            return Forall(v, _map_atoms_keeping(body, fn))
-        case _:
-            raise DecompositionError(f"unexpected connective in decomposition input: {f!r}")
 
 
 def _rho_of(lit: Formula, x: str, rho_names: dict[str, int]) -> RhoAtom:
@@ -632,72 +583,46 @@ def _unary_div_residues(m: int, n: int, shift: Term, x: str) -> Formula:
     return or_(*branches)
 
 
-def _replace_pres(a, x: str, reg: _Registry) -> Formula:
-    match a:
-        case Eq(l, r):
-            n, t = _coeff_split(l - r, x)
-            if n < 0:
-                n, t = -n, -t
-            s = -t
-            if n == 1:
-                return _rho_eq(x, reg, TermWitness(s))
-            guard = Div(n, s)
-            return and_(guard, _rho_eq(x, reg, TermWitness(s, n, floor=True)))
-        case Lt(l, r):
-            n, t = _coeff_split(l - r, x)
-            if n > 0:
-                # n*x < s: x < floor((s - 1 + n)/n)
-                s = -t
-                return _rho_below(x, reg, TermWitness(s + Term.const(n - 1), n, floor=True))
-            # s < n'*x with n' = -n: floor(s/n') < x
-            n = -n
+def _replace_pres(s, x: str, reg: _Registry) -> Formula:
+    match s:
+        case Solved("eq", 1, t):
+            return _rho_eq(x, reg, TermWitness(t))
+        case Solved("eq", n, t):
+            return and_(Div(n, t), _rho_eq(x, reg, TermWitness(t, n, floor=True)))
+        case Solved("upper", n, t):
+            # n*x < t: x < floor((t - 1 + n)/n)
+            return _rho_below(x, reg, TermWitness(t + Term.const(n - 1), n, floor=True))
+        case Solved("lower", n, t):
+            # t < n*x: floor(t/n) < x
             return _rho_above(x, reg, TermWitness(t, n, floor=True))
-        case Div(m, arg):
-            n, t = _coeff_split(arg, x)
+        case Solved("div", n, t, m):
             if not t.variables():
                 return _unary_div_residues(m, n, t, x)
             split = rewrite_divisibility(m, n, t, var=x)
-            return _map_atoms_keeping(
+            return map_atoms(
                 split,
                 lambda atom: _unary_div_residues(atom.modulus, atom.arg.coeff(x), atom.arg.drop_var(x), x)
                 if isinstance(atom, Div) and x in term_vars(atom)
                 else atom,
             )
-    raise DecompositionError(f"unsupported integer atom {a}")
+    raise DecompositionError(f"unsupported integer atom {s}")
 
 
 def _replace_dlo(a, x: str, reg: _Registry) -> Formula:
-    xt = Term.var(x)
-    match a:
-        case Pred("Qp", _, _):
-            return a
-        case Eq(l, r):
-            if l == r:
-                return TRUE
-            u = r if l == xt else l
-            return _rho_eq(x, reg, TermWitness(u))
-        case Lt(l, r):
-            if l == r:
-                return FALSE
-            if l == xt:
-                return _rho_below(x, reg, TermWitness(r))
-            return _rho_above(x, reg, TermWitness(l))
-    raise DecompositionError(f"unsupported dense-order atom {a}")
+    if isinstance(a, Pred) and a.name == "Qp":
+        return a
+    return _replace_doag(a, x, reg)
 
 
-def _replace_doag(a, x: str, reg: _Registry) -> Formula:
-    match a:
-        case Eq(l, r):
-            n, t = _coeff_split(l - r, x)
-            if n < 0:
-                n, t = -n, -t
-            return _rho_eq(x, reg, TermWitness(-t, n))
-        case Lt(l, r):
-            n, t = _coeff_split(l - r, x)
-            if n > 0:
-                return _rho_below(x, reg, TermWitness(-t, n))
-            return _rho_above(x, reg, TermWitness(t, -n))
-    raise DecompositionError(f"unsupported rational atom {a}")
+def _replace_doag(s, x: str, reg: _Registry) -> Formula:
+    match s:
+        case Solved("eq", n, t):
+            return _rho_eq(x, reg, TermWitness(t, n))
+        case Solved("upper", n, t):
+            return _rho_below(x, reg, TermWitness(t, n))
+        case Solved("lower", n, t):
+            return _rho_above(x, reg, TermWitness(t, n))
+    raise DecompositionError(f"unsupported order atom {s}")
 
 
 def _shift_witness(u: str, delta_first: int) -> ProcedureWitness:
@@ -717,17 +642,6 @@ def _replace_tchain(a, x: str, reg: _Registry) -> Formula:
     match a:
         case Pred("P", _, _):
             return a
-        case Eq(l, r):
-            if l == r:
-                return TRUE
-            u = r if l == xt else l
-            return _rho_eq(x, reg, TermWitness(u))
-        case Lt(l, r):
-            if l == r:
-                return FALSE
-            if l == xt:
-                return _rho_below(x, reg, TermWitness(r))
-            return _rho_above(x, reg, TermWitness(l))
         case Pred("S", n, (l, r)):
             if l == r:
                 return TRUE if n == 0 else FALSE
@@ -752,7 +666,7 @@ def _replace_tchain(a, x: str, reg: _Registry) -> Formula:
                     branches.append(and_(pu, px, inside))
                     branches.append(and_(Not(pu), Not(px), inside))
             return or_(*branches)
-    raise DecompositionError(f"unsupported chain atom {a}")
+    return _replace_doag(a, x, reg)
 
 
 # --- lexicographic replacement ----------------------------------------------
@@ -905,26 +819,17 @@ def _lex_gt_coset(theory: Theory, n: int, t: Term, k: int, side: int,
 def _replace_lex(theory: Theory):
     def replace(a, x: str, reg: _Registry) -> Formula:
         match a:
-            case Eq(l, r):
-                n, t = _coeff_split(l - r, x)
-                if n < 0:
-                    n, t = -n, -t
-                return _lex_eq(theory, n, -t, x, reg)
-            case Lt(l, r):
-                n, t = _coeff_split(l - r, x)
-                if n < 0:
-                    # t < n'*x
-                    return _lex_gt(theory, -n, t, x, reg)
-                # n*x < s: neither above nor equal
-                s = -t
+            case Solved("eq", n, t):
+                return _lex_eq(theory, n, t, x, reg)
+            case Solved("lower", n, t):
+                return _lex_gt(theory, n, t, x, reg)
+            case Solved("upper", n, t):
+                # n*x < t: neither above nor equal
                 return and_(
-                    to_nnf(Not(_lex_gt(theory, n, s, x, reg))),
-                    to_nnf(Not(_lex_eq(theory, n, s, x, reg))),
+                    to_nnf(Not(_lex_gt(theory, n, t, x, reg))),
+                    to_nnf(Not(_lex_eq(theory, n, t, x, reg))),
                 )
-            case Div(m, arg):
-                n, t = _coeff_split(arg, x)
-                if n < 0:
-                    n, t = -n, -t
+            case Solved("div", n, t, m):
                 sym, _ = _unit_first(theory)
                 branches = []
                 if theory == Theory.LEX_ZQ:
@@ -940,7 +845,8 @@ def _replace_lex(theory: Theory):
                             branches.append(and_(coset, Div(m, t - sel_shift) if ((-n * j1) % m or (-n * j2) % m) else Div(m, t)))
                 return or_(*branches)
             case Pred("del", k, (arg,)):
-                n, t = _coeff_split(arg, x)
+                # signed: del_k(-t) is not del_k(t)
+                n, t = arg.coeff(x), arg.drop_var(x)
                 if not t.variables():
                     # constant shift: still a unary coset atom about x
                     if n == 1:

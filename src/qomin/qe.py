@@ -14,11 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EvalError, NonSentenceError, UnsupportedTheoryError
+from .errors import (
+    EvalError, NonSentenceError, ResourceCapError, UnsupportedTheoryError,
+)
 from .syntax import (
     And, Bool, Div, Eq, Exists, FALSE, Forall, Formula, Iff, Implies, Lt, Not,
-    Or, Pred, TRUE, Term, Theory, and_, bound_vars, free_vars, fresh_name,
-    is_quantifier_free, or_, substitute, to_nnf, validate,
+    Or, Pred, Solved, TRUE, Term, Theory, and_, bound_vars, free_vars,
+    fresh_name, is_quantifier_free, or_, solve_for, substitute, to_nnf,
+    validate,
 )
 from . import models
 
@@ -240,7 +243,7 @@ def dnf(f: Formula) -> list[tuple[Formula, ...]]:
                             if merged is not None:
                                 new.append(merged)
                     if len(new) > _DNF_CAP:
-                        raise EvalError("DNF blowup beyond internal cap")
+                        raise ResourceCapError("DNF blowup beyond internal cap")
                     combos = new
                 return combos
             case _:
@@ -358,22 +361,6 @@ def qe_dlo_pred(f: Formula) -> Formula:
 # Cooper's algorithm for Presburger arithmetic
 
 
-def _coeff_split(t: Term, v: str) -> tuple[int, Term]:
-    return t.coeff(v), t.drop_var(v)
-
-
-def _var_coeff(lit: Formula, v: str) -> int:
-    """Net coefficient of v in an order/equality/divisibility literal; a
-    nonzero sentinel for predicate literals (which cannot cancel)."""
-    core = lit.arg if isinstance(lit, Not) else lit
-    match core:
-        case Eq(l, r) | Lt(l, r):
-            return (l - r).coeff(v)
-        case Div(_, t):
-            return t.coeff(v)
-    return 1
-
-
 def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     rest: list[Formula] = []
     lowers: list[tuple[int, Term]] = []   # (a, t): t < a*v
@@ -381,36 +368,19 @@ def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     divs: list[tuple[int, int, Term, bool]] = []  # (m, a, t, positive): D_m(a*v + t)
 
     for lit in lits:
-        if v not in free_vars(lit) or _var_coeff(lit, v) == 0:
-            rest.append(lit)
-            continue
-        match lit:
-            case Eq(l, r):
-                n, t = _coeff_split(l - r, v)
-                one = Term.const(1)
-                # n*v + t = 0  <=>  n*v < -t + 1  and  -t - 1 < n*v
-                for bound in (Lt(Term.var(v, n), -t + one), Lt(-t - one, Term.var(v, n))):
-                    a, s = _coeff_split(bound.left - bound.right, v)
-                    if a > 0:
-                        uppers.append((a, -s))
-                    else:
-                        lowers.append((-a, s))
-            case Lt(l, r):
-                n, t = _coeff_split(l - r, v)
-                if n > 0:
-                    uppers.append((n, -t))
-                else:
-                    lowers.append((-n, t))
-            case Div(m, arg):
-                n, t = _coeff_split(arg, v)
-                if n < 0:
-                    n, t = -n, -t
-                divs.append((m, n, t, True))
-            case Not(Div(m, arg)):
-                n, t = _coeff_split(arg, v)
-                if n < 0:
-                    n, t = -n, -t
-                divs.append((m, n, t, False))
+        match solve_for(lit, v):
+            case Solved("upper", a, t):
+                uppers.append((a, t))
+            case Solved("lower", a, t):
+                lowers.append((a, t))
+            case Solved("eq", a, t):
+                # a*v = t  <=>  a*v < t + 1  and  t - 1 < a*v
+                uppers.append((a, t + Term.const(1)))
+                lowers.append((a, t - Term.const(1)))
+            case Solved("div", a, t, m, positive):
+                divs.append((m, a, t, positive))
+            case other if v not in free_vars(other):
+                rest.append(other)
             case _:
                 raise EvalError(f"unexpected literal {lit!r} in integer elimination")
 
@@ -567,24 +537,14 @@ def _doag_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     lowers: list[tuple[int, Term]] = []  # (a, t): t < a*v
     uppers: list[tuple[int, Term]] = []  # (a, t): a*v < t
     eqs: list[tuple[int, Term]] = []     # (a, t): a*v = t
+    sides = {"lower": lowers, "upper": uppers, "eq": eqs}
 
     for lit in lits:
-        if v not in free_vars(lit) or _var_coeff(lit, v) == 0:
-            rest.append(lit)
-            continue
-        match lit:
-            case Eq(l, r):
-                n, t = _coeff_split(l - r, v)
-                if n > 0:
-                    eqs.append((n, -t))
-                else:
-                    eqs.append((-n, t))
-            case Lt(l, r):
-                n, t = _coeff_split(l - r, v)
-                if n > 0:
-                    uppers.append((n, -t))
-                else:
-                    lowers.append((-n, t))
+        match solve_for(lit, v):
+            case Solved(kind, a, t) if kind in sides:
+                sides[kind].append((a, t))
+            case other if v not in free_vars(other):
+                rest.append(other)
             case _:
                 raise EvalError(f"unexpected literal {lit!r} in divisible-group elimination")
 

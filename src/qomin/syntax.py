@@ -55,10 +55,6 @@ _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
 _RESERVED = {"true", "false"}
 
 
-def signature(theory: Theory) -> dict:
-    return _SIGNATURE[theory]
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -92,23 +88,11 @@ class Term:
     def zero() -> "Term":
         return Term()
 
-    def coeff_map(self) -> dict[str, int]:
-        return dict(self.coeffs)
-
-    def const_map(self) -> dict[str, int]:
-        return dict(self.consts)
-
     def coeff(self, var: str) -> int:
         return dict(self.coeffs).get(var, 0)
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs and not self.consts
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
 
     def __add__(self, other: "Term") -> "Term":
         cs = dict(self.coeffs)
@@ -534,6 +518,47 @@ def negate_atom(a: Atom) -> Formula:
             return or_(Lt(l, r), Lt(r, l))
         case _:
             return Not(a)
+
+
+@dataclass(frozen=True)
+class Solved:
+    """A literal solved for a variable v, with a > 0 and t free of v.
+
+    kind 'upper' is a*v < t, 'lower' is t < a*v, 'eq' is a*v = t, and 'div'
+    is D_m(a*v + t), or its negation when positive is False.
+    """
+
+    kind: str
+    a: int
+    t: Term
+    m: int = 0
+    positive: bool = True
+
+
+def solve_for(lit: Formula, v: str) -> Solved | Formula:
+    """Solve an order, equality or divisibility literal for v.
+
+    A literal that does not mention v, or that has another shape, comes back
+    unchanged.  When v's coefficients cancel (u + y < u + z) the v-free
+    literal l - r < 0 or l - r = 0 comes back; only Lt and Eq can cancel,
+    because Term drops zero coefficients.
+    """
+    match lit:
+        case Lt(l, r) | Eq(l, r):
+            lc, rc = l.coeff(v), r.coeff(v)
+            if lc == rc:
+                return lit if lc == 0 else type(lit)(l - r, Term.zero())
+            n, t = lc - rc, (l - r).drop_var(v)
+            if isinstance(lit, Eq):
+                return Solved("eq", abs(n), -t if n > 0 else t)
+            return Solved("upper", n, -t) if n > 0 else Solved("lower", -n, t)
+        case Div(m, arg) | Not(Div(m, arg)):
+            n = arg.coeff(v)
+            if n == 0:
+                return lit
+            t = arg.drop_var(v)
+            return Solved("div", abs(n), t if n > 0 else -t, m, isinstance(lit, Div))
+    return lit
 
 
 def to_nnf(f: Formula) -> Formula:

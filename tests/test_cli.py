@@ -186,3 +186,16 @@ def test_text_format(capsys):
                                     "E x. x = 0", "--format", "text"])
     assert code == 0
     assert out.strip() == "true"
+
+
+def test_verify_cancelled_bound_variable_exits_zero(capsys):
+    code, out, _ = capture(capsys, ["verify", "--theory", "pres_z", "E u. u + y < u + z"])
+    assert code == 0
+    assert json.loads(out)["agreement"] is True
+
+
+def test_dnf_cap_exits_four(capsys):
+    code, _, err = capture(capsys, ["decide", "--theory", "pres_n",
+                                    "E y. A u. y < u -> y < u + 1"])
+    assert code == 4
+    assert "cap" in err

@@ -324,3 +324,33 @@ def test_decide_agrees_with_windowed_oracle_on_sentences():
 def test_oracle_agreement_smoke():
     total, mismatches = oracle_agreement(Z, parse("E x. 2*x = y", Z), Window(-6, 6), Window(-12, 12))
     assert total == 13 and not mismatches
+
+
+# ---------------------------------------------------------------------------
+# A bound variable whose coefficients cancel does not leak out of QE
+
+CANCELLED = [
+    (Theory.PRES_Z, "E u. u + y < u + z"),
+    (Theory.PRES_N, "E u. u + y < u + z"),
+    (Theory.DOAG_Q, "E u. u + y < u + z"),
+    (Theory.LEX_ZQ, "E u. u + y < u + z"),
+    (Theory.LEX_ZZ, "E u. u + y = u + z"),
+    (Theory.PRES_Z, "A u. u + y < u + z"),
+]
+
+
+@pytest.mark.parametrize("theory,text", CANCELLED)
+def test_cancelled_bound_variable_is_eliminated(theory, text):
+    f = parse(text, theory)
+    out = qe(theory, f)
+    if isinstance(out, ComponentFormula):
+        allowed = {n for orig, z, s in out.pairs if orig in free_vars(f) for n in (z, s)}
+    else:
+        allowed = free_vars(f)
+    assert free_vars(out_formula(out)) <= allowed
+    total, mismatches = oracle_agreement(theory, f, *corpus.windows(theory))
+    assert total > 0 and not mismatches
+
+
+def test_cancelled_bound_variable_output():
+    assert print_formula(qe(Z, parse("E u. u + y < u + z", Z))) == "y - z < 0"

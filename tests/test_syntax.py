@@ -7,8 +7,8 @@ from qomin import corpus
 from qomin.errors import ParseError, SignatureError
 from qomin.models import Window, eval_qf, eval_windowed
 from qomin.syntax import (
-    And, Div, Eq, Exists, Lt, Not, Or, Pred, Term, Theory, free_vars,
-    normalize_term, parse, print_formula, substitute, to_nnf,
+    And, Div, Eq, Exists, Lt, Not, Or, Pred, Solved, Term, Theory, free_vars,
+    normalize_term, parse, print_formula, solve_for, substitute, to_nnf,
 )
 
 Z = Theory.PRES_Z
@@ -145,3 +145,79 @@ def test_nnf_preserves_windowed_truth(theory):
         for combo in itertools.islice(itertools.product(elems, repeat=len(fvs)), 40):
             asg = dict(zip(fvs, combo))
             assert f_fn(dict(asg)) == g_fn(dict(asg)), entry.text
+
+
+# ---------------------------------------------------------------------------
+# The solved-literal normaliser
+
+
+def _z(text):
+    return parse(text, Z)
+
+
+def _t(text):
+    return _z(f"{text} = 0").left
+
+
+@pytest.mark.parametrize("text,solved", [
+    ("2*v < y + 1", Solved("upper", 2, _t("y + 1"))),
+    ("y < -3*v", Solved("upper", 3, _t("-y"))),
+    ("y < 2*v", Solved("lower", 2, Term.var("y"))),
+    ("-v < y", Solved("lower", 1, _t("-y"))),
+    ("2*v = y", Solved("eq", 2, Term.var("y"))),
+    ("y = -2*v + 1", Solved("eq", 2, _t("-y + 1"))),
+    ("D3(2*v + y)", Solved("div", 2, Term.var("y"), 3)),
+    ("D3(y - 2*v)", Solved("div", 2, _t("-y"), 3)),
+    ("~D3(v + 1)", Solved("div", 1, Term.const(1), 3, positive=False)),
+    ("v + y < v + z", _z("y - z < 0")),
+    ("v + y = z + v", _z("y - z = 0")),
+    ("y < z + 1", _z("y < z + 1")),
+    ("D2(y)", _z("D2(y)")),
+])
+def test_solve_for_table(text, solved):
+    assert solve_for(_z(text), "v") == solved
+
+
+def test_solve_for_leaves_other_literals_unchanged():
+    lit = Pred("del", 0, (-Term.var("v"),))
+    assert solve_for(lit, "v") is lit
+    assert solve_for(Not(lit), "v") == Not(lit)
+
+
+def _rebuild(s, v):
+    """The atom a solved form stands for."""
+    av = Term.var(v, s.a)
+    if s.kind == "upper":
+        return Lt(av, s.t)
+    if s.kind == "lower":
+        return Lt(s.t, av)
+    if s.kind == "eq":
+        return Eq(av, s.t)
+    atom = Div(s.m, av + s.t)
+    return atom if s.positive else Not(atom)
+
+
+_small = st.integers(-3, 3)
+
+
+@given(st.sampled_from(["lt", "eq", "div", "ndiv"]), _small, _small, _small, _small,
+       _small, st.integers(2, 4), st.integers(-6, 6), st.integers(-6, 6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_solve_for_keeps_truth(kind, lv, ly, rv, ry, c, m, vval, yval):
+    left = Term.make({"v": lv, "y": ly}, {"1": c})
+    right = Term.make({"v": rv, "y": ry})
+    if kind == "lt":
+        lit = Lt(left, right)
+    elif kind == "eq":
+        lit = Eq(left, right)
+    else:
+        lit = Div(m, left - right)
+        lit = lit if kind == "div" else Not(lit)
+    s = solve_for(lit, "v")
+    if isinstance(s, Solved):
+        assert s.a > 0 and "v" not in s.t.variables()
+        s = _rebuild(s, "v")
+    else:
+        assert "v" not in free_vars(s)
+    asg = {"v": vval, "y": yval}
+    assert eval_qf(Z, s, asg) == eval_qf(Z, lit, asg)
