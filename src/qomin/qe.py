@@ -209,7 +209,7 @@ def simplify(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # DNF over NNF formulas
 
-_DNF_CAP = 100_000
+_DNF_CAP = 100_000  # also bounds the branches of one Cooper elimination
 
 
 def dnf(f: Formula) -> list[tuple[Formula, ...]]:
@@ -282,6 +282,8 @@ def _eliminate(f: Formula, elim_exists) -> Formula:
                 return _exists(v, rec(body))
             case Forall(v, body):
                 inner = rec(body)
+                if v not in free_vars(inner):
+                    return inner
                 negated = simplify(to_nnf(Not(inner)))
                 return simplify(to_nnf(Not(_exists(v, negated))))
             case _:
@@ -361,28 +363,47 @@ def qe_dlo_pred(f: Formula) -> Formula:
 # Cooper's algorithm for Presburger arithmetic
 
 
+def _div_lit(m: int, t: Term, positive: bool) -> Formula:
+    """D_m(t), or its negation when positive is False; D_1 is true."""
+    atom = Div(m, t) if m >= 2 else TRUE
+    return atom if positive else (Not(atom) if atom != TRUE else FALSE)
+
+
+def _pivot(n: int, s: Term, eqs, lowers, uppers, divs=()) -> list[Formula]:
+    """The literals on v after substituting v = s/n from the equality n*v = s
+    (n > 0): a*v = t, t < a*v and a*v < t scale by n, and D_m(a*v + t)
+    becomes D_{m*n}(a*s + n*t), exact once D_n(s) holds."""
+    return [
+        *(Eq(s.scale(a), t.scale(n)) for a, t in eqs),
+        *(Lt(t.scale(n), s.scale(a)) for a, t in lowers),
+        *(Lt(s.scale(a), t.scale(n)) for a, t in uppers),
+        *(_div_lit(m * n, s.scale(a) + t.scale(n), pos) for m, a, t, pos in divs),
+    ]
+
+
 def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     rest: list[Formula] = []
     lowers: list[tuple[int, Term]] = []   # (a, t): t < a*v
     uppers: list[tuple[int, Term]] = []   # (a, t): a*v < t
+    eqs: list[tuple[int, Term]] = []      # (a, t): a*v = t
     divs: list[tuple[int, int, Term, bool]] = []  # (m, a, t, positive): D_m(a*v + t)
+    sides = {"lower": lowers, "upper": uppers, "eq": eqs}
 
     for lit in lits:
         match solve_for(lit, v):
-            case Solved("upper", a, t):
-                uppers.append((a, t))
-            case Solved("lower", a, t):
-                lowers.append((a, t))
-            case Solved("eq", a, t):
-                # a*v = t  <=>  a*v < t + 1  and  t - 1 < a*v
-                uppers.append((a, t + Term.const(1)))
-                lowers.append((a, t - Term.const(1)))
             case Solved("div", a, t, m, positive):
                 divs.append((m, a, t, positive))
+            case Solved(kind, a, t):
+                sides[kind].append((a, t))
             case other if v not in free_vars(other):
                 rest.append(other)
             case _:
                 raise EvalError(f"unexpected literal {lit!r} in integer elimination")
+
+    if eqs:
+        n, s = eqs[0]  # v = s/n, an integer exactly when D_n(s)
+        pivot = _pivot(n, s, eqs[1:], lowers, uppers, divs)
+        return simplify(and_(*rest, _div_lit(n, s, True), *pivot))
 
     coeffs = [a for a, _ in lowers] + [a for a, _ in uppers] + [a for _, a, _, _ in divs]
     big = math.lcm(*coeffs) if coeffs else 1
@@ -393,60 +414,22 @@ def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
         dv.append((big, Term.zero(), True))
 
     period = math.lcm(*(m for m, _, _ in dv)) if dv else 1
+    # Test points b + j above the lower bounds b, or, when there are fewer
+    # upper bounds, a - j below the upper bounds a.  With no bound on that
+    # side, v near -infinity (+infinity) satisfies every bound on the other,
+    # and only the divisibilities at v = j (v = -j) are left.
+    sign, cands = (1, lows) if len(lows) <= len(ups) else (-1, ups)
+    if period * (len(cands) + 1) > _DNF_CAP:
+        raise ResourceCapError(f"Cooper elimination of {v} needs {period} x "
+                               f"{len(cands) + 1} branches, beyond the internal cap")
 
-    def instance(y: Term, drop_lows: bool) -> Formula:
-        parts: list[Formula] = []
-        for t in lows:
-            if drop_lows:
-                return FALSE  # a lower bound is false near -infinity
-            parts.append(Lt(t, y))
-        for t in ups:
-            parts.append(Lt(y, t))
-        for m, t, pos in dv:
-            atom = Div(m, y + t) if m >= 2 else TRUE
-            if not pos:
-                atom = Not(atom) if atom != TRUE else FALSE
-            parts.append(atom)
-        return and_(*parts)
+    def instance(y: Term, bounded: bool) -> Formula:
+        parts = [Lt(t, y) for t in lows] + [Lt(y, t) for t in ups] if bounded else []
+        return and_(*parts, *(_div_lit(m, y + t, pos) for m, t, pos in dv))
 
-    def minus_inf(j: int) -> Formula:
-        parts: list[Formula] = []
-        if lows:
-            return FALSE
-        # near -infinity upper bounds hold; only divisibilities matter
-        jt = Term.const(j)
-        for m, t, pos in dv:
-            atom = Div(m, t + jt) if m >= 2 else TRUE
-            if not pos:
-                atom = Not(atom) if atom != TRUE else FALSE
-            parts.append(atom)
-        return and_(*parts)
-
-    def plus_inf(j: int) -> Formula:
-        parts: list[Formula] = []
-        if ups:
-            return FALSE
-        jt = Term.const(-j)
-        for m, t, pos in dv:
-            atom = Div(m, t + jt) if m >= 2 else TRUE
-            if not pos:
-                atom = Not(atom) if atom != TRUE else FALSE
-            parts.append(atom)
-        return and_(*parts)
-
-    branches: list[Formula] = []
-    if len(lows) <= len(ups):
-        for j in range(1, period + 1):
-            branches.append(minus_inf(j))
-        for b in lows:
-            for j in range(1, period + 1):
-                branches.append(instance(b + Term.const(j), drop_lows=False))
-    else:
-        for j in range(1, period + 1):
-            branches.append(plus_inf(j))
-        for a in ups:
-            for j in range(1, period + 1):
-                branches.append(instance(a - Term.const(j), drop_lows=False))
+    shifts = [Term.const(sign * j) for j in range(1, period + 1)]
+    branches = [] if cands else [instance(j, False) for j in shifts]
+    branches += [instance(c + j, True) for c in cands for j in shifts]
     return simplify(and_(*rest, or_(*branches)))
 
 
@@ -550,14 +533,7 @@ def _doag_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
 
     if eqs:
         n, s = eqs[0]  # v = s/n
-        parts: list[Formula] = []
-        for a, t in eqs[1:]:
-            parts.append(Eq(s.scale(a), t.scale(n)))
-        for a, t in lowers:
-            parts.append(Lt(t.scale(n), s.scale(a)))
-        for a, t in uppers:
-            parts.append(Lt(s.scale(a), t.scale(n)))
-        return and_(*rest, *parts)
+        return and_(*rest, *_pivot(n, s, eqs[1:], lowers, uppers))
 
     pairs = [Lt(t.scale(b), u.scale(a)) for a, t in lowers for b, u in uppers]
     return and_(*rest, *pairs)

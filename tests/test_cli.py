@@ -199,3 +199,11 @@ def test_dnf_cap_exits_four(capsys):
                                     "E y. A u. y < u -> y < u + 1"])
     assert code == 4
     assert "cap" in err
+
+
+def test_cooper_branch_cap_exits_four(capsys):
+    # period 97 * 89 * 83 = 716,539 test points
+    code, _, err = capture(capsys, ["qe", "--theory", "pres_z",
+                                    "E x. D97(x) & D89(x + 1) & D83(x + 2) & y < x"])
+    assert code == 4
+    assert "cap" in err

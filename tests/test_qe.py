@@ -4,8 +4,10 @@ sentence decision."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qomin import corpus, models
+from qomin import qe as qe_module
 from qomin.errors import NonSentenceError, UnsupportedTheoryError
 from qomin.models import Window
 from qomin.qe import (
@@ -15,8 +17,8 @@ from qomin.qe import (
     translate_nat,
 )
 from qomin.syntax import (
-    And, Div, Eq, Lt, Or, Term, Theory, free_vars, is_quantifier_free, parse,
-    print_formula, to_nnf, Not,
+    And, Div, Eq, Exists, Lt, Or, Term, Theory, and_, free_vars,
+    is_quantifier_free, parse, print_formula, to_nnf, Not,
 )
 
 Z = Theory.PRES_Z
@@ -354,3 +356,61 @@ def test_cancelled_bound_variable_is_eliminated(theory, text):
 
 def test_cancelled_bound_variable_output():
     assert print_formula(qe(Z, parse("E u. u + y < u + z", Z))) == "y - z < 0"
+
+
+# ---------------------------------------------------------------------------
+# Cooper's equality pivot: v = s/n is substituted, not bracketed by bounds
+
+PIVOTS = [
+    ("E x. 2*x = y & x < z & D3(x + 1)", "D2(y) & y < 2*z & D6(y + 2)"),
+    ("E x. x = y & x < z & D3(x + 1)", "y < z & D3(y + 1)"),
+    ("E x. x = y & x = y + 1", "false"),
+]
+
+
+@pytest.mark.parametrize("text,expected", PIVOTS)
+def test_equality_pivot_output(text, expected):
+    assert print_formula(qe(Z, parse(text, Z))) == expected
+
+
+@given(st.integers(-24, 0), st.integers(0, 24), st.integers(1, 3),
+       st.integers(-2, 2), st.integers(-4, 4),
+       st.sampled_from([None, "lower", "upper"]),
+       st.sampled_from([None, 2, 3, 4]), st.booleans(), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_equality_pivot_agrees_with_oracle(lo, hi, a, cy, k, bound, m, positive, cz):
+    # the box lo < u < hi inside the search window keeps the oracle exact
+    u, z = Term.var("u"), Term.var("z")
+    lits = [Lt(Term.const(lo), u), Lt(u, Term.const(hi)),
+            Eq(Term.var("u", a), Term.make({"y": cy}, {"1": k}))]
+    if bound is not None:
+        lits.append(Lt(z, u) if bound == "lower" else Lt(u, z))
+    if m is not None:
+        div = Div(m, u + Term.make({"z": cz}, {"1": k}))
+        lits.append(div if positive else Not(div))
+    f = Exists("u", and_(*lits))
+    total, mismatches = oracle_agreement(Z, f, *corpus.windows(Z))
+    assert total > 0 and not mismatches, print_formula(f)
+
+
+# ---------------------------------------------------------------------------
+# Universals: no elimination of an absent variable, no blowup on del rows
+
+
+def test_vacuous_universal_is_dropped():
+    assert print_formula(qe(Z, parse("A u. y < z", Z))) == "y < z"
+
+
+@pytest.mark.parametrize("theory", [Theory.LEX_ZQ, Theory.LEX_ZZ])
+def test_del_rows_need_few_cooper_calls(theory, monkeypatch):
+    calls = []
+    cooper = qe_module._cooper_exists
+
+    def counted(v, lits):
+        calls.append(v)
+        return cooper(v, lits)
+
+    monkeypatch.setattr(qe_module, "_cooper_exists", counted)
+    out = qe(theory, parse("~(E u. del0(u) & del1(u))", theory))
+    assert print_formula(out.formula) == "true"
+    assert 0 < len(calls) <= 16
