@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EvalError, QominError, UnsupportedTheoryError
+from .errors import EvalError, QominError, UnsupportedTheoryError, WindowCapError
 from . import models
 from .models import Element, Window
 from .normal_form import Decomposition, decompose, witnesses
@@ -302,12 +302,14 @@ class DensityReport:
         return out
 
 
-def density_check(n: int, w: Window, resolution: Fraction) -> DensityReport:
+def density_check(n: int, w: Window, resolution: Fraction,
+                  cap: int | None = None) -> DensityReport:
     """Check that every subinterval of the window of the given length meets
     both n*G and its complement, over the group of dyadic rationals.
 
     When n is a power of two the subgroup is the whole group (the dyadics
-    are 2-divisible) and the scan is skipped."""
+    are 2-divisible) and the scan is skipped.  A scan of more than `cap`
+    intervals (default 10^6) raises WindowCapError before it starts."""
     if n < 2:
         raise ValueError("n must be >= 2")
     odd = n
@@ -323,7 +325,9 @@ def density_check(n: int, w: Window, resolution: Fraction) -> DensityReport:
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    dense = codense = True
+    cap = models.DEFAULT_WINDOW_CAP if cap is None else cap
+    if (count := -((lo - hi) // resolution)) > cap:  # ceil((hi - lo) / resolution)
+        raise WindowCapError(f"density scan would check {count} intervals, cap is {cap}")
     report.dense = report.codense = True
     a = lo
     while a < hi:
@@ -334,13 +338,14 @@ def density_check(n: int, w: Window, resolution: Fraction) -> DensityReport:
         p_hi = (b.numerator * denom) // b.denominator
         if Fraction(p_hi, denom) == b:
             p_hi -= 1
-        ps = range(p_lo, p_hi + 1)
         report.intervals_checked += 1
-        if not any(p % odd == 0 for p in ps):
+        # the least multiple of odd at or above p_lo; odd >= 3, so any two
+        # numerators include a non-multiple
+        if p_lo + (-p_lo) % odd > p_hi:
             if report.dense:
                 report.first_density_gap = (a, b)
             report.dense = False
-        if not any(p % odd != 0 for p in ps):
+        if not (p_lo < p_hi or (p_lo == p_hi and p_lo % odd)):
             if report.codense:
                 report.first_codensity_gap = (a, b)
             report.codense = False

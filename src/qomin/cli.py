@@ -284,7 +284,7 @@ def _cmd_density(args, parser) -> int:
         parser.error("--n is required")
     w = _parse_window(args.window or "-16,16,1024", Theory.DYADIC)
     res = Fraction(args.resolution or "1/32")
-    rep = analyzer.density_check(args.n, w, res)
+    rep = analyzer.density_check(args.n, w, res, cap=_window_cap())
     payload = rep.to_json()
     lines = [payload["case"]]
     if not rep.whole_group:

@@ -103,14 +103,6 @@ def eval_term(theory: Theory, t: Term, asg: Mapping[str, Element]) -> Element:
     return v
 
 
-def interpret(theory: Theory, atom, asg: Mapping[str, Element]) -> bool:
-    """Truth value of a single atom under the intended interpretation.
-
-    The meaning of each atom is written once, in `_compile_atom`; this
-    compiles the atom and evaluates it at the assignment."""
-    return compile_eval(theory, atom)(asg)
-
-
 # ---------------------------------------------------------------------------
 # Windows
 
@@ -360,9 +352,12 @@ def _compile_atom(theory: Theory, atom, L: int) -> Callable[[Assignment], bool]:
                 return v < 0 or (v == 0 and t1(a) < 0)
             return lex_lt
         case Div(m, t):
-            if theory in (Theory.PRES_Z, Theory.PRES_N):
+            if not pair:
+                # exact at every rational t (see compile_eval); of the scalar
+                # theories only pres_z and pres_n admit D_m, so a rational one
+                # meets it only in a lex_zq component formula
                 ev = value(t)
-                return lambda a: ev(a) % m == 0
+                return lambda a: ev(a) % (m * L) == 0
             if theory == Theory.LEX_ZQ:
                 # the rational coordinate is m-divisible, so only the integer
                 # coordinate matters: D_m((a, q)) iff m | a
@@ -481,9 +476,13 @@ def compile_eval(theory: Theory, f: Formula,
       gets a larger L, with the window rescaled to it).  q -> q*L is additive, injective and
       order-preserving, and the constants are scaled with it (`1` -> L,
       while `1Z` = (1, 0) keeps its unscaled integer coordinate), so a
-      term t maps to t*L and `t < 0`, `t = 0` keep their truth.  D_m,
-      del_k, P and S_n read the integer coordinate, which is not scaled,
-      and Qp(q) holds iff the reduced denominator L/gcd(q*L, L) of q is a
+      term t maps to t*L and `t < 0`, `t = 0` keep their truth.  On a
+      pair, D_m, del_k, P and S_n read the integer coordinate, which is
+      not scaled.  On a scalar, D_m(t) is read as "m*L divides t*L":
+      t*L is an integer, and m*L divides it iff t/m is an integer, so
+      this is exact for every rational t (a lex_zq component formula,
+      compiled as doag_q, has D_m over its integer-sort variables).
+      Qp(q) holds iff the reduced denominator L/gcd(q*L, L) of q is a
       power of two.
     """
     f = miniscope(f)

@@ -934,9 +934,8 @@ def verify_decomposition(theory: Theory, theta: Formula, dec: Decomposition,
     granularity would need denominators beyond it)."""
     asg = dict(zip(dec.params, abar))
     zvals = witnesses(theory, dec, abar)
-    base = Theory.PRES_Z if theory == Theory.PRES_N else theory
     psi_vals = [models.eval_windowed(theory, d.psi, asg, w) for d in dec.disjuncts]
-    phi_fns = [models.compile_eval(base, d.phi) for d in dec.disjuncts]
+    phi_fns = [models.compile_eval(theory, d.phi) for d in dec.disjuncts]
     theta_fn = models.compile_eval(theory, theta, w)
 
     report = VerificationReport(theory, dec.var, abar)

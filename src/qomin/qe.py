@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import (
     EvalError, NonSentenceError, ResourceCapError, UnsupportedTheoryError,
@@ -20,8 +21,7 @@ from .errors import (
 from .syntax import (
     And, Bool, Div, Eq, Exists, FALSE, Forall, Formula, Iff, Implies, Lt, Not,
     Or, Pred, Solved, TRUE, Term, Theory, and_, bound_vars, free_vars,
-    fresh_name, is_quantifier_free, or_, solve_for, substitute, to_nnf,
-    validate,
+    fresh_name, or_, solve_for, substitute, to_nnf, validate,
 )
 from . import models
 
@@ -702,9 +702,6 @@ class ComponentFormula:
     pairs: tuple[tuple[str, str, str], ...]  # (original, z-name, second-name)
     sorts: tuple[tuple[str, str], ...] = ()  # (component name, 'z' | 's')
 
-    def var_map(self) -> dict[str, tuple[str, str]]:
-        return {orig: (z, s) for orig, z, s in self.pairs}
-
 
 def _split_names(variables, taken: set[str]) -> dict[str, tuple[str, str]]:
     out: dict[str, tuple[str, str]] = {}
@@ -819,58 +816,34 @@ def qe_lex(theory: Theory, f: Formula) -> ComponentFormula:
     return ComponentFormula(theory, out, cf.pairs, cf.sorts)
 
 
+# the scalar theory a component formula is evaluated in
+_COMPONENT_THEORY = {Theory.LEX_ZQ: Theory.DOAG_Q, Theory.LEX_ZZ: Theory.PRES_Z}
+
+
+def _compile_output(theory: Theory, out) -> Callable[[dict], bool]:
+    """Compiled truth of a quantifier-free QE output at an assignment of the
+    input's free variables.  A ComponentFormula compiles as a doag_q
+    (lex_zq) or pres_z (lex_zz) formula in its split variables, reading each
+    pair (a, b) as x_z = a, x_2 = b; no per-variable sort is needed, as
+    every component atom mentions one sort and `compile_eval` reads D_m(t)
+    exactly at every rational t."""
+    if not isinstance(out, ComponentFormula):
+        return models.compile_eval(theory, out)
+    fn = models.compile_eval(_COMPONENT_THEORY[out.theory], out.formula)
+    pairs = out.pairs
+
+    def run(asg: dict) -> bool:
+        flat = {}
+        for orig, z, s in pairs:
+            flat[z], flat[s] = asg[orig]
+        return fn(flat)
+    return run
+
+
 def eval_component(cf: ComponentFormula, asg: dict) -> bool:
     """Evaluate a quantifier-free component formula at a pair assignment
     keyed by the original variables."""
-    if not is_quantifier_free(cf.formula):
-        raise EvalError("component formula must be quantifier-free to evaluate")
-    flat: dict = {}
-    for orig, z, s in cf.pairs:
-        a, b = asg[orig]
-        flat[z] = a
-        flat[s] = b
-    return _eval_numeric(cf.formula, flat)
-
-
-def _num_term(t: Term, asg: dict):
-    v = 0
-    for var, c in t.coeffs:
-        if var not in asg:
-            raise EvalError(f"unbound variable {var!r}")
-        v += c * asg[var]
-    for sym, c in t.consts:
-        if sym != "1":
-            raise EvalError(f"non-numeric constant {sym!r} in component term")
-        v += c
-    return v
-
-
-def _eval_numeric(f: Formula, asg: dict) -> bool:
-    match f:
-        case Bool(b):
-            return b
-        case Lt(l, r):
-            return _num_term(l, asg) < _num_term(r, asg)
-        case Eq(l, r):
-            return _num_term(l, asg) == _num_term(r, asg)
-        case Div(m, t):
-            v = _num_term(t, asg)
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    raise EvalError("divisibility over a non-integer value")
-                v = v.numerator
-            return v % m == 0
-        case Not(arg):
-            return not _eval_numeric(arg, asg)
-        case And(args):
-            return all(_eval_numeric(a, asg) for a in args)
-        case Or(args):
-            return any(_eval_numeric(a, asg) for a in args)
-        case Implies(l, r):
-            return (not _eval_numeric(l, asg)) or _eval_numeric(r, asg)
-        case Iff(l, r):
-            return _eval_numeric(l, asg) == _eval_numeric(r, asg)
-    raise EvalError(f"cannot evaluate {f!r} numerically")
+    return _compile_output(cf.theory, cf)(asg)
 
 
 # ---------------------------------------------------------------------------
@@ -911,22 +884,13 @@ def oracle_agreement(theory: Theory, f: Formula, asg_window, search_window,
     fvs = sorted(free_vars(f))
     elems = models.enumerate_window(theory, asg_window, cap)
     f_fn = models.compile_eval(theory, f, search_window, cap)
-    if isinstance(out, ComponentFormula):
-        def out_truth(asg):
-            return eval_component(out, asg)
-    else:
-        base = Theory.PRES_Z if theory == Theory.PRES_N else theory
-        out_fn = models.compile_eval(base, out)
-
-        def out_truth(asg):
-            return out_fn(asg)
-
+    out_fn = _compile_output(theory, out)
     total = 0
     mismatches = []
     for combo in itertools.product(elems, repeat=len(fvs)):
         asg = dict(zip(fvs, combo))
-        lhs = f_fn(dict(asg))
-        rhs = out_truth(dict(asg))
+        lhs = f_fn(asg)
+        rhs = out_fn(asg)
         total += 1
         if lhs != rhs and len(mismatches) < 5:
             mismatches.append((asg, lhs, rhs))
@@ -939,11 +903,4 @@ def decide(theory: Theory, sentence: Formula) -> bool:
         raise NonSentenceError(
             f"free variable(s) {sorted(free_vars(sentence))} in decide()"
         )
-    out = qe(theory, sentence)
-    if isinstance(out, ComponentFormula):
-        return _eval_numeric(out.formula, {})
-    base = Theory.PRES_Z if theory == Theory.PRES_N else theory
-    folded = simplify(out)
-    if isinstance(folded, Bool):
-        return folded.value
-    return models.eval_qf(base, folded, {})
+    return _compile_output(theory, qe(theory, sentence))({})

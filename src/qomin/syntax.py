@@ -151,17 +151,6 @@ class Term:
         return " ".join(pieces)
 
 
-def normalize_term(t: Term) -> Term:
-    """Re-canonicalize a term (merge duplicates, drop zeros). Idempotent."""
-    cs: dict[str, int] = {}
-    for v, c in t.coeffs:
-        cs[v] = cs.get(v, 0) + c
-    ks: dict[str, int] = {}
-    for s, c in t.consts:
-        ks[s] = ks.get(s, 0) + c
-    return Term.make(cs, ks)
-
-
 # ---------------------------------------------------------------------------
 # Atoms and formulas
 

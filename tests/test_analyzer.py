@@ -11,7 +11,7 @@ from qomin.analyzer import (
     Cut, NEG, POS, cut_contains, cut_subset, density_check, eventual_classes,
     eventually_equal, lemma3_check, maximal_cut_excluding, one_var_intervals,
 )
-from qomin.errors import QominError
+from qomin.errors import QominError, WindowCapError
 from qomin.models import Window, enumerate_window
 from qomin.syntax import Theory, parse
 
@@ -215,6 +215,22 @@ def test_density_mixed_factor():
     rep = density_check(6, DY_WINDOW, Fraction(1, 32))
     assert rep.dense and rep.codense
     assert rep.odd_part == 3
+
+
+def test_density_scan_cap():
+    with pytest.raises(WindowCapError):
+        density_check(3, DY_WINDOW, Fraction(1, 32), cap=1023)
+    assert density_check(3, DY_WINDOW, Fraction(1, 32), cap=1024).intervals_checked == 1024
+
+
+def test_density_large_modulus_is_one_step_per_interval():
+    # 2^34 numerators per interval, a multiple of the modulus among them
+    rep = density_check(10**9 + 7, Window(Fraction(-16), Fraction(16), 2**30), Fraction(16))
+    assert rep.dense and rep.codense and rep.intervals_checked == 2
+    # [0, 1/2) holds the numerator 0 only, [1/2, 1) none at denominator 1
+    rep = density_check(10**9 + 7, Window(Fraction(0), Fraction(1), 1), Fraction(1, 2))
+    assert rep.first_codensity_gap == (Fraction(0), Fraction(1, 2))
+    assert rep.first_density_gap == (Fraction(1, 2), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

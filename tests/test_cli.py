@@ -1,6 +1,7 @@
 """Command-line behavior: verbs, exit codes, JSON determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +208,26 @@ def test_cooper_branch_cap_exits_four(capsys):
                                     "E x. D97(x) & D89(x + 1) & D83(x + 2) & y < x"])
     assert code == 4
     assert "cap" in err
+
+
+def test_density_scan_cap_exits_four(capsys, monkeypatch):
+    # 1/1000000 over the default window is 32,000,000 intervals
+    code, out, err = capture(capsys, ["density", "--n", "3", "--resolution", "1/1000000"])
+    assert code == 4 and out == ""
+    assert "cap" in err
+    monkeypatch.setenv("QOMIN_WINDOW_CAP", "1023")
+    code, _, err = capture(capsys, ["density", "--n", "3"])  # 1,024 intervals
+    assert code == 4
+    assert "cap" in err
+
+
+# stdout and exit code of one call per verb, plus decide and verify on lex
+# rows: this pins the schema 1 output byte for byte, so re-record it only
+# with a deliberate schema change
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
+def test_cli_golden_output(capsys, case):
+    code, out, _ = capture(capsys, case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])

@@ -11,8 +11,8 @@ from qomin import corpus, models, qe
 from qomin.cli import run
 from qomin.errors import EvalError, WindowCapError
 from qomin.models import (
-    Window, enumerate_window, eval_qf, eval_windowed, interpret,
-    parse_element, format_element,
+    Window, enumerate_window, eval_qf, eval_windowed, parse_element,
+    format_element,
 )
 from qomin.syntax import (
     And, Bool, Div, Eq, Exists, Forall, Iff, Implies, Lt, Not, Or, Pred, Term,
@@ -27,13 +27,13 @@ def del_atom(k, var="x"):
 
 
 def test_delta_zero_membership():
-    assert interpret(ZQ, del_atom(0), {"x": (0, Fraction(7, 2))})
-    assert not interpret(ZQ, del_atom(0), {"x": (1, Fraction(0))})
+    assert eval_qf(ZQ, del_atom(0), {"x": (0, Fraction(7, 2))})
+    assert not eval_qf(ZQ, del_atom(0), {"x": (1, Fraction(0))})
 
 
 def test_chain_distance():
     atom = Pred("S", 1, (Term.var("x"), Term.var("y")))
-    assert interpret(Theory.TCHAIN, atom, {"x": (0, Fraction(0)), "y": (1, Fraction(5))})
+    assert eval_qf(Theory.TCHAIN, atom, {"x": (0, Fraction(0)), "y": (1, Fraction(5))})
 
 
 def test_eval_qf_examples():
@@ -175,7 +175,7 @@ def test_coset_predicate_law(theory, k):
     atom = Pred("del", k, (Term.var("x"),))
     for x in enumerate_window(theory, w):
         shifted = models._add(x, models._scale(-k, g0))
-        assert interpret(theory, atom, {"x": x}) == (shifted[0] == 0)
+        assert eval_qf(theory, atom, {"x": x}) == (shifted[0] == 0)
 
 
 def test_element_round_trip():
@@ -208,6 +208,8 @@ def _plain_atom(theory, atom, asg):
             return val(l) == val(r)
         case Div(m, t) if theory in (Theory.PRES_Z, Theory.PRES_N):
             return val(t) % m == 0
+        case Div(m, t) if theory in (Theory.DLO_PRED, Theory.DOAG_Q, Theory.DYADIC):
+            return (val(t) / m).denominator == 1
         case Div(m, t) if theory == ZQ:
             return val(t)[0] % m == 0
         case Div(m, t) if theory == Theory.LEX_ZZ:
@@ -254,26 +256,31 @@ def _plain_eval(theory, f, asg, elems):
     return ev(f)
 
 
+# the theory each QE output's atoms are read in: a lexicographic output is
+# a component formula, evaluated as a doag_q (lex_zq) or pres_z (lex_zz) one
+_OUTPUT_THEORY = {Theory.PRES_N: Theory.PRES_Z, ZQ: Theory.DOAG_Q,
+                  Theory.LEX_ZZ: Theory.PRES_Z}
+
+
 def _corpus_atoms():
     """(theory, atom) for every atom of the corpus formulas and of their
-    quantifier-free QE outputs (lexicographic outputs are component
-    formulas, evaluated by qe.eval_component, not by the models)."""
+    quantifier-free QE outputs."""
     seen = set()
     for theory in corpus.CORPUS:
-        base = Theory.PRES_Z if theory == Theory.PRES_N else theory
+        base = _OUTPUT_THEORY.get(theory, theory)
         for entry in corpus.entries(theory):
             f = parse(entry.text, theory)
             seen.update((theory, a) for a in atoms(f))
             out = qe.qe(theory, f)
-            if not isinstance(out, qe.ComponentFormula):
-                seen.update((base, a) for a in atoms(out))
+            if isinstance(out, qe.ComponentFormula):
+                out = out.formula
+            seen.update((base, a) for a in atoms(out))
     return sorted(seen, key=repr)
 
 
 def test_compiled_atoms_agree_with_fraction_reading():
     checked = 0
     for theory, atom in _corpus_atoms():
-        home = Theory.PRES_N if theory == Theory.PRES_Z else theory
         asg_w, search_w = corpus.windows(theory)
         fvs = sorted(term_vars(atom))
         unscaled = models.compile_eval(theory, atom)
