@@ -269,8 +269,10 @@ def _merge_conj(left: tuple[Formula, ...], right: tuple[Formula, ...]) -> tuple[
 # Generic driver: innermost-first existential elimination over DNF
 
 
-def _eliminate(f: Formula, elim_exists) -> Formula:
-    """f must be in NNF.  elim_exists(var, literals) -> Formula."""
+def _eliminate(f: Formula, elim_exists,
+               int_var: Callable[[str], bool] = lambda v: False) -> Formula:
+    """f must be in NNF.  elim_exists(var, literals) -> Formula; int_var
+    tells to_nnf which variables have integer sort."""
 
     def rec(g: Formula) -> Formula:
         match g:
@@ -284,8 +286,8 @@ def _eliminate(f: Formula, elim_exists) -> Formula:
                 inner = rec(body)
                 if v not in free_vars(inner):
                     return inner
-                negated = simplify(to_nnf(Not(inner)))
-                return simplify(to_nnf(Not(_exists(v, negated))))
+                negated = simplify(to_nnf(Not(inner), int_var))
+                return simplify(to_nnf(Not(_exists(v, negated)), int_var))
             case _:
                 return g
 
@@ -297,6 +299,15 @@ def _eliminate(f: Formula, elim_exists) -> Formula:
         return simplify(or_(*results))
 
     return rec(f)
+
+
+def _integer_sort(theory: Theory, sorts=()) -> Callable[[str], bool]:
+    """Which variables have integer sort: every one in pres_z, pres_n (after
+    translate_nat) and lex_zz, the integer components among a lex_zq
+    ComponentFormula's sorts, and none in the dense theories."""
+    if theory in (Theory.PRES_Z, Theory.PRES_N, Theory.LEX_ZZ):
+        return lambda v: True
+    return {name for name, sort in sorts if sort == "z"}.__contains__
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +445,8 @@ def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
 
 
 def qe_presburger(f: Formula) -> Formula:
-    return _eliminate(to_nnf(f), _cooper_exists)
+    int_var = _integer_sort(Theory.PRES_Z)
+    return _eliminate(to_nnf(f, int_var), _cooper_exists, int_var)
 
 
 def translate_nat(f: Formula) -> Formula:
@@ -804,15 +816,12 @@ def qe_lex(theory: Theory, f: Formula) -> ComponentFormula:
     the dense-group engine (Z x Q) or Cooper (Z x Z), and integer-coordinate
     variables with Cooper."""
     cf = lex_split(theory, f)
-    sorts = dict(cf.sorts)
-    second_engine = _doag_exists if theory == Theory.LEX_ZQ else _cooper_exists
+    int_var = _integer_sort(theory, cf.sorts)
 
     def elim(v: str, lits: tuple[Formula, ...]) -> Formula:
-        if sorts.get(v, "z") == "z":
-            return _cooper_exists(v, lits)
-        return second_engine(v, lits)
+        return _cooper_exists(v, lits) if int_var(v) else _doag_exists(v, lits)
 
-    out = simplify(_eliminate(to_nnf(cf.formula), elim))
+    out = simplify(_eliminate(to_nnf(cf.formula, int_var), elim, int_var))
     return ComponentFormula(theory, out, cf.pairs, cf.sorts)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ParseError, SignatureError
 
@@ -494,13 +494,16 @@ def substitute(f: Formula, bindings: Mapping[str, Term]) -> Formula:
     return walk(f, bindings)
 
 
-def negate_atom(a: Atom) -> Formula:
+def negate_atom(a: Atom, integer: bool = False) -> Formula:
     """Negation-normal rewriting of a negated atom.
 
-    Order and equality use trichotomy of the linear order; divisibility and
+    Order and equality use trichotomy of the linear order, except that over
+    the integers ~(l < r) is the single atom r < l + 1; divisibility and
     predicate atoms stay as negated literals.
     """
     match a:
+        case Lt(l, r) if integer:
+            return Lt(r, l + Term.const(1))
         case Lt(l, r):
             return or_(Lt(r, l), Eq(r, l))
         case Eq(l, r):
@@ -550,8 +553,12 @@ def solve_for(lit: Formula, v: str) -> Solved | Formula:
     return lit
 
 
-def to_nnf(f: Formula) -> Formula:
-    """Negation normal form; ->/<-> expanded, double negations removed."""
+def to_nnf(f: Formula, int_var: Callable[[str], bool] = lambda v: False) -> Formula:
+    """Negation normal form; ->/<-> expanded, double negations removed.
+
+    int_var tells which variables have integer sort: a negated order atom
+    on any of them is negated over the integers (see negate_atom).
+    """
 
     def pos(g: Formula) -> Formula:
         match g:
@@ -576,7 +583,9 @@ def to_nnf(f: Formula) -> Formula:
         match g:
             case Bool(b):
                 return Bool(not b)
-            case Lt() | Eq() | Div() | Pred():
+            case Lt(l, r):
+                return negate_atom(g, any(int_var(v) for v, _ in l.coeffs + r.coeffs))
+            case Eq() | Div() | Pred():
                 return negate_atom(g)
             case Not(arg):
                 return pos(arg)

@@ -196,10 +196,21 @@ def test_verify_cancelled_bound_variable_exits_zero(capsys):
 
 
 def test_dnf_cap_exits_four(capsys):
-    code, _, err = capture(capsys, ["decide", "--theory", "pres_n",
-                                    "E y. A u. y < u -> y < u + 1"])
+    # two clauses of 317 bounds each: 317 * 317 = 100,489 DNF conjuncts
+    uppers = " | ".join(f"u < a{i}" for i in range(317))
+    lowers = " | ".join(f"b{i} < u" for i in range(317))
+    code, _, err = capture(capsys, ["qe", "--theory", "dlo_pred",
+                                    f"E u. ({uppers}) & ({lowers})"])
     assert code == 4
     assert "cap" in err
+
+
+def test_negated_integer_bound_stays_one_atom(capsys):
+    # this sentence used to pass the DNF cap: each ~(a < b) was b < a | b = a
+    code, out, _ = capture(capsys, ["decide", "--theory", "pres_n",
+                                    "E y. A u. y < u -> y < u + 1"])
+    assert code == 0
+    assert json.loads(out)["truth"] is True
 
 
 def test_cooper_branch_cap_exits_four(capsys):

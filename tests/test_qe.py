@@ -17,7 +17,7 @@ from qomin.qe import (
     translate_nat,
 )
 from qomin.syntax import (
-    And, Div, Eq, Exists, Lt, Or, Term, Theory, and_, free_vars,
+    And, Div, Eq, Exists, Lt, Or, Term, Theory, and_, atoms, free_vars,
     is_quantifier_free, parse, print_formula, to_nnf, Not,
 )
 
@@ -414,3 +414,95 @@ def test_del_rows_need_few_cooper_calls(theory, monkeypatch):
     out = qe(theory, parse("~(E u. del0(u) & del1(u))", theory))
     assert print_formula(out.formula) == "true"
     assert 0 < len(calls) <= 16
+
+
+# ---------------------------------------------------------------------------
+# Sort-aware negation: over the integers ~(a < b) is the one atom b < a + 1,
+# while the lex_zq second coordinates keep trichotomy
+
+SORT_TEXTS = ["A u. y < u -> z < u", "E u. ~(u < y) & ~(z < u)", "A u. u < y | z < u"]
+LEX_ZZ_UNIVERSAL = "A u. y < u & u < z -> D2(u) | D3(u + 1p)"
+SORTED_NEGATION = [
+    *((theory, text) for theory in (Theory.LEX_ZQ, Theory.LEX_ZZ, Z, Theory.PRES_N)
+      for text in SORT_TEXTS),
+    (Theory.LEX_ZZ, LEX_ZZ_UNIVERSAL),
+    (Theory.LEX_ZQ, "A u. u < y & y < u -> del1(u)"),
+    (Theory.LEX_ZQ, "A u. u < y -> u < y + 1Z"),
+]
+
+
+@pytest.mark.parametrize("theory,text", SORTED_NEGATION)
+def test_sorted_negation_agrees_with_oracle(theory, text):
+    total, mismatches = oracle_agreement(theory, parse(text, theory), *corpus.windows(theory))
+    assert total > 0 and not mismatches
+
+
+def test_lex_universal_output_stays_small():
+    # 2,555 atoms when each negated bound was a disjunction b < a | b = a
+    out = qe(Theory.LEX_ZZ, parse(LEX_ZZ_UNIVERSAL, Theory.LEX_ZZ))
+    assert len(list(atoms(out.formula))) <= 150
+
+
+# Boxed universals and E-A alternations, drawn on the integer theories.  Every
+# quantifier is relativized to a box with strict bounds inside the corpus
+# search window (a lex_zz box fixes the first coordinate), so the window
+# oracle is exact.
+def _int_const(theory, k):
+    return f"{k}*1p" if theory == Theory.LEX_ZZ else str(k)
+
+
+@st.composite
+def _int_box(draw, theory, v):
+    # the box holds lo..hi (lex_zz: (first, lo)..(first, hi))
+    if theory == Theory.LEX_ZZ:
+        first, lo = draw(st.integers(-3, 3)), draw(st.integers(-4, 3))
+        hi = draw(st.integers(lo, min(lo + 3, 4)))
+        return (f"{first}*1pp + {lo - 1}*1p < {v} & "
+                f"{v} < {first}*1pp + {hi + 1}*1p")
+    lo = draw(st.integers(0 if theory == Theory.PRES_N else -8, 8))
+    hi = lo + draw(st.integers(1, 4))
+    return f"{lo - 1} < {v} & {v} < {hi + 1}"
+
+
+@st.composite
+def _int_atom(draw, theory, bound, others):
+    text = f"{draw(st.sampled_from((1, 2)))}*{bound}"
+    if others and draw(st.booleans()):
+        c = draw(st.sampled_from((-1, 1, 2)))
+        text += f" {'-' if c < 0 else '+'} {abs(c)}*{draw(st.sampled_from(others))}"
+    k = _int_const(theory, draw(st.integers(-4, 4)))
+    if draw(st.integers(0, 4)) == 0:
+        return f"D{draw(st.sampled_from((2, 3)))}({text} + {k})"
+    return f"{text} {draw(st.sampled_from(('<', '>', '<=', '>=', '=')))} {k}"
+
+
+@st.composite
+def _int_body(draw, theory, bound, others, connectives):
+    first = draw(_int_atom(theory, bound, others))
+    op = draw(st.sampled_from(("", "~", "&", "|", "->", "<->") if connectives else ("", "~")))
+    if op in ("", "~"):
+        return f"{op}({first})"
+    return f"({first}) {op} ({draw(_int_atom(theory, bound, others))})"
+
+
+@st.composite
+def _int_alternation(draw, theory):
+    # L is one literal, except under a single pres universal: two-atom bodies
+    # under E-A or on lex_zz can cost a minute per draw or reach the DNF cap,
+    # as simplify does not yet fold bounds on one linear form
+    if draw(st.booleans()):
+        others = draw(st.sampled_from((["y"], ["y", "z"])))
+        body = draw(_int_body(theory, "u", others, theory != Theory.LEX_ZZ))
+        return f"A u. {draw(_int_box(theory, 'u'))} -> ({body})"
+    inner = (f"A v. {draw(_int_box(theory, 'v'))} -> "
+             f"({draw(_int_body(theory, 'v', ['u', 'y'], False))})")
+    return f"E u. {draw(_int_box(theory, 'u'))} & ({inner})"
+
+
+@pytest.mark.parametrize("theory", [Z, Theory.PRES_N, Theory.LEX_ZZ])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_boxed_alternations_agree_with_oracle(theory, data):
+    text = data.draw(_int_alternation(theory))
+    total, mismatches = oracle_agreement(theory, parse(text, theory), *corpus.windows(theory))
+    assert total > 0 and not mismatches, text

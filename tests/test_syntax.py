@@ -113,6 +113,16 @@ def test_nnf_order_negation():
     assert f == parse("y < x | y = x", Z)
 
 
+def test_nnf_integer_order_negation():
+    everything = lambda v: True  # noqa: E731
+    assert to_nnf(Not(parse("x < y", Z)), everything) == parse("y < x + 1", Z)
+    # one integer variable makes the atom integer; equality keeps trichotomy
+    assert to_nnf(Not(parse("x < y", Z)), {"x"}.__contains__) == parse("y < x + 1", Z)
+    assert to_nnf(Not(parse("x < y", Z)), {"z"}.__contains__) == parse("y < x | y = x", Z)
+    assert to_nnf(Not(parse("x = y", Z)), everything) == parse("x < y | y < x", Z)
+    assert to_nnf(Not(parse("D2(x)", Z)), everything) == Not(parse("D2(x)", Z))
+
+
 def test_nnf_pushes_through_quantifiers():
     f = to_nnf(Not(parse("E x. D2(x)", Z)))
     assert print_formula(f) == "A x. ~D2(x)"
@@ -141,6 +151,23 @@ def test_nnf_preserves_windowed_truth(theory):
         elems = models.enumerate_window(theory, asg_w)
         f_fn = models.compile_eval(theory, f, search_w)
         g_fn = models.compile_eval(theory, g, search_w)
+        for combo in itertools.islice(itertools.product(elems, repeat=len(fvs)), 40):
+            asg = dict(zip(fvs, combo))
+            assert f_fn(dict(asg)) == g_fn(dict(asg)), entry.text
+
+
+@pytest.mark.parametrize("theory", [Z, Theory.PRES_N])
+def test_integer_nnf_preserves_windowed_truth(theory):
+    """Over the integers and the naturals ~(a < b) may become b < a + 1."""
+    import itertools
+    from qomin import models
+    asg_w, search_w = corpus.windows(theory)
+    elems = models.enumerate_window(theory, asg_w)
+    for entry in corpus.entries(theory):
+        f = parse(entry.text, theory)
+        fvs = sorted(free_vars(f))
+        f_fn = models.compile_eval(theory, f, search_w)
+        g_fn = models.compile_eval(theory, to_nnf(f, lambda v: True), search_w)
         for combo in itertools.islice(itertools.product(elems, repeat=len(fvs)), 40):
             asg = dict(zip(fvs, combo))
             assert f_fn(dict(asg)) == g_fn(dict(asg)), entry.text
