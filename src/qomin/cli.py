@@ -8,10 +8,10 @@ Exit codes: 0 success (or decided true), 1 decided false, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import analyzer, corpus, models, normal_form
 from .errors import (
@@ -187,6 +187,9 @@ def _cmd_decompose(args, parser) -> int:
     lines = [f"disjuncts: {len(dec.disjuncts)}  witnesses: {len(dec.witnesses)}"]
     if args.at:
         asg = _parse_at(args.at, theory)
+        missing = [p for p in dec.params if p not in asg]
+        if missing:
+            raise EvalError(f"unbound variable(s): {', '.join(missing)}")
         abar = tuple(asg[p] for p in dec.params)
         zvals = normal_form.witnesses(theory, dec, abar)
         payload["witness_values"] = [models.format_element(z) for z in zvals]
@@ -251,7 +254,7 @@ def _cmd_classes(args, parser) -> int:
 
 def _cmd_cuts(args, parser) -> int:
     theory = Theory.LEX_ZQ
-    n = args.n or 1
+    n = 1 if args.n is None else args.n
     cuts = [
         analyzer.Cut(theory, n, models.parse_element(b, theory))
         for b in _split_top(args.bounds or "", ";")
@@ -280,10 +283,10 @@ def _cmd_cuts(args, parser) -> int:
 
 
 def _cmd_density(args, parser) -> int:
-    if not args.n:
+    if args.n is None:
         parser.error("--n is required")
     w = _parse_window(args.window or "-16,16,1024", Theory.DYADIC)
-    res = Fraction(args.resolution or "1/32")
+    res = models.parse_rational(args.resolution or "1/32")
     rep = analyzer.density_check(args.n, w, res, cap=_window_cap())
     payload = rep.to_json()
     lines = [payload["case"]]
@@ -330,7 +333,42 @@ _HANDLERS = {
 }
 
 
+# every option of every verb, as (flags, add_argument keywords)
+_OPTIONS: tuple[tuple[tuple[str, ...], dict], ...] = (
+    (("formula_pos",), {"nargs": "?", "help": "formula text"}),
+    (("--formula",), {}),
+    (("--file",), {"help": "file with the formula; may carry a '#theory:' header"}),
+    (("--theory",), {"help": "one of " + ", ".join(t.value for t in Theory)}),
+    (("--format",), {"choices": ("json", "text"), "default": "json"}),
+    (("--var",), {"help": "distinguished/scan variable"}),
+    (("--window",), {"help": "'lo,hi[,denom]'"}),
+    (("--asg-window",), {"dest": "asg_window", "help": "'lo,hi[,denom]' for free variables"}),
+    (("--at",), {"help": "element bindings, e.g. 'y=(1,0),z=3'"}),
+    (("--verify",), {"action": "store_true"}),
+    (("--component-language",), {"dest": "component_language", "action": "store_true"}),
+    (("--expand-delta",), {"dest": "expand_delta", "action": "store_true",
+                           "help": "replace del_k atoms by their base-language definitions"}),
+    (("--params",), {"help": "semicolon-separated parameter tuples"}),
+    (("--direction",), {"choices": (analyzer.POS, analyzer.NEG), "default": analyzer.POS}),
+    (("--n",), {"type": int, "help": "coefficient/modulus for cuts and density"}),
+    (("--bounds",), {"help": "semicolon-separated cut bounds"}),
+    (("--exclude",), {"help": "element for maximal-cut-excluding"}),
+    (("--contains",), {"help": "element for cut membership"}),
+    (("--subset",), {"help": "two cut bounds 'a1;a2'"}),
+    (("--resolution",), {"help": "interval length for density scans"}),
+)
+
+# the options that take a value: every flag not stored as true/false
+_VALUE_OPTIONS = frozenset(
+    flag for flags, kw in _OPTIONS if kw.get("action") != "store_true"
+    for flag in flags if flag.startswith("-")
+)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on the first call and shared after:
+    building it costs far more than one parse."""
     parser = argparse.ArgumentParser(
         prog="qomin",
         description="decision procedures, quantifier elimination, and witnessed "
@@ -339,35 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in _HANDLERS:
         p = sub.add_parser(verb)
-        p.add_argument("formula_pos", nargs="?", help="formula text")
-        p.add_argument("--formula")
-        p.add_argument("--file", help="file with the formula; may carry a '#theory:' header")
-        p.add_argument("--theory", help="one of " + ", ".join(t.value for t in Theory))
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--var", help="distinguished/scan variable")
-        p.add_argument("--window", help="'lo,hi[,denom]'")
-        p.add_argument("--asg-window", dest="asg_window", help="'lo,hi[,denom]' for free variables")
-        p.add_argument("--at", help="element bindings, e.g. 'y=(1,0),z=3'")
-        p.add_argument("--verify", action="store_true")
-        p.add_argument("--component-language", dest="component_language", action="store_true")
-        p.add_argument("--expand-delta", dest="expand_delta", action="store_true",
-                       help="replace del_k atoms by their base-language definitions")
-        p.add_argument("--params", help="semicolon-separated parameter tuples")
-        p.add_argument("--direction", choices=(analyzer.POS, analyzer.NEG), default=analyzer.POS)
-        p.add_argument("--n", type=int, help="coefficient/modulus for cuts and density")
-        p.add_argument("--bounds", help="semicolon-separated cut bounds")
-        p.add_argument("--exclude", help="element for maximal-cut-excluding")
-        p.add_argument("--contains", help="element for cut membership")
-        p.add_argument("--subset", help="two cut bounds 'a1;a2'")
-        p.add_argument("--resolution", help="interval length for density scans")
+        for flags, kw in _OPTIONS:
+            p.add_argument(*flags, **kw)
     return parser
-
-
-_VALUE_FLAGS = {
-    "--window", "--asg-window", "--at", "--exclude", "--contains", "--subset",
-    "--bounds", "--params", "--resolution", "--formula", "--theory", "--var",
-    "--file", "--format", "--direction", "--n",
-}
 
 
 def _merge_flag_values(argv: list[str]) -> list[str]:
@@ -377,7 +389,7 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a in _VALUE_FLAGS and i + 1 < len(argv):
+        if a in _VALUE_OPTIONS and i + 1 < len(argv):
             out.append(f"{a}={argv[i + 1]}")
             i += 2
         else:

@@ -555,6 +555,14 @@ def format_element(v: Element) -> str:
     return str(v)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse 'n' or 'p/q'; a zero denominator is an input error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise EvalError(f"zero denominator in {text.strip()!r}") from None
+
+
 def parse_element(text: str, theory: Theory) -> Element:
     """Parse 'n', 'p/q', or '(a, p/q)' into a model element."""
     text = text.strip()
@@ -569,10 +577,10 @@ def parse_element(text: str, theory: Theory) -> Element:
         if theory == Theory.LEX_ZZ:
             b: Element = int(parts[1].strip())
         else:
-            b = Fraction(parts[1].strip())
+            b = parse_rational(parts[1])
         v: Element = (a, b)
     elif theory in _RAT_THEORIES:
-        v = Fraction(text)
+        v = parse_rational(text)
     else:
         v = int(text)
     check_element(theory, v)

@@ -1,10 +1,15 @@
 """Command-line behavior: verbs, exit codes, JSON determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from qomin import cli
 from qomin.cli import run
 
 
@@ -242,3 +247,101 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 def test_cli_golden_output(capsys, case):
     code, out, _ = capture(capsys, case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+# ---------------------------------------------------------------------------
+# input errors found in the text of a flag exit 3, never with a traceback
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--n", "3", "--resolution", "1/0"],
+    ["eval", "--theory", "doag_q", "E u. u < x", "--at", "x=1/0", "--window", "-2,2,2"],
+    ["eval", "--theory", "lex_zq", "x < 1Z", "--at", "x=(1,1/0)"],
+], ids=["density-resolution", "eval-doag_q-at", "eval-lex_zq-pair"])
+def test_zero_denominator_exits_three(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == "qomin: zero denominator in '1/0'\n"
+
+
+def test_decompose_at_missing_parameter_exits_three(capsys):
+    code, out, err = capture(capsys, ["decompose", "--theory", "pres_z", "x < y",
+                                      "--var", "x", "--at", "z=1"])
+    assert (code, out) == (3, "")
+    assert err == "qomin: unbound variable(s): y\n"
+
+
+def test_n_zero_is_a_value(capsys):
+    code, _, err = capture(capsys, ["density", "--n", "0"])
+    assert (code, err) == (3, "qomin: n must be >= 2\n")
+    code, _, err = capture(capsys, ["cuts", "--n", "0", "--bounds", "(1,0)",
+                                    "--exclude", "(2,0)"])
+    assert (code, err) == (3, "qomin: cut coefficient must be positive\n")
+
+
+# ---------------------------------------------------------------------------
+# one parser serves every call of a process: no call may see another's state
+
+
+def test_parser_built_once_and_not_at_import():
+    probe = ("import qomin.cli as c; n = c._build_parser.cache_info().currsize; "
+             "c.run(['parse', '--theory', 'pres_z', 'x < 1', '--format', 'text']); "
+             "c.run(['qe', '--theory', 'pres_z', 'E x. x < y', '--format', 'text']); "
+             "print(n, c._build_parser.cache_info().misses)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "0 1"
+
+
+def test_reuse_component_language_does_not_stick(capsys):
+    argv = ["qe", "--theory", "lex_zq", "E x. 2*x = y"]
+    _, first, _ = capture(capsys, argv + ["--component-language"])
+    code, second, _ = capture(capsys, argv)
+    assert "component" in json.loads(first)
+    assert code == 0 and "component" not in json.loads(second)
+
+
+def test_reuse_text_format_does_not_stick(capsys):
+    argv = ["decide", "--theory", "pres_z", "E x. x = 0"]
+    _, first, _ = capture(capsys, argv + ["--format", "text"])
+    code, second, _ = capture(capsys, argv)
+    assert first == "true\n"
+    assert code == 0 and json.loads(second)["truth"] is True
+
+
+def test_reuse_decide_true_then_false(capsys):
+    code, out, _ = capture(capsys, ["decide", "--theory", "pres_z", "A x. A y. x + y = y + x"])
+    assert code == 0 and json.loads(out)["truth"] is True
+    code, out, _ = capture(capsys, ["decide", "--theory", "pres_z", "E x. x + x = 1"])
+    assert code == 1 and json.loads(out)["truth"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["qe", "--theory", "pres_z"],                     # no formula: the handler's error
+    ["qe", "--theory", "pres_z", "--format", "xml", "x < 1"],
+    ["density"],
+    ["cuts", "--n", "two"],
+    [],
+], ids=["verb", "no-formula", "choice", "no-n", "n-type", "empty"])
+def test_reuse_after_usage_error(capsys, monkeypatch, argv):
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    with monkeypatch.context() as m:  # the same call on a parser built afresh
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert capture(capsys, argv) == (code, out, err)
+    case = GOLDEN[0]
+    assert capture(capsys, case["argv"])[:2] == (case["exit"], case["stdout"])
+
+
+def test_value_options_come_from_the_option_table(capsys):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for p in sub.choices.values():
+        takes_value = {s for a in p._actions if a.option_strings and a.nargs != 0
+                       for s in a.option_strings}
+        assert takes_value == cli._VALUE_OPTIONS
+    code, out, _ = capture(capsys, ["eval", "--theory", "pres_z", "E u. u < x",
+                                    "--at", "x=-1", "--window", "-2,2"])
+    assert code == 0 and json.loads(out)["value"] is True
