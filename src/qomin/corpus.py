@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import UnsupportedTheoryError
 from .models import Window
 from .syntax import Theory
 
@@ -322,11 +323,17 @@ CORPUS[Theory.TCHAIN] = _entries(Theory.TCHAIN, [
 ])
 
 
+def _lookup(table: dict, theory: Theory):
+    if theory not in table:
+        raise UnsupportedTheoryError(f"no corpus or windows for {theory.value}")
+    return table[theory]
+
+
 def entries(theory: Theory) -> list[CorpusEntry]:
-    return CORPUS[theory]
+    return _lookup(CORPUS, theory)
 
 
 def windows(theory: Theory) -> tuple[Window, Window]:
     """(assignment window, quantifier search window) for the theory."""
-    return WINDOWS[theory]
+    return _lookup(WINDOWS, theory)
 

@@ -362,8 +362,6 @@ class Decomposition:
     params: tuple[str, ...]
     disjuncts: list[Disjunct]
     witnesses: list[WitnessSpec]
-    # selector formulas are folded into psi rather than emitted as guards
-    selectors_folded: bool = True
 
     def check_shape(self) -> None:
         """Purely syntactic conformance: rho atoms in the three allowed
@@ -399,7 +397,8 @@ class Decomposition:
                 }
                 for w in self.witnesses
             ],
-            "selectors_folded_into_psi": self.selectors_folded,
+            # selector formulas are folded into psi, never emitted as guards
+            "selectors_folded_into_psi": True,
         }
 
 
@@ -689,7 +688,7 @@ def _first_resid_sel(theory: Theory, t: Term, r: int, modulus: int) -> Formula:
 
 
 def _lex_gt_witnesses(theory: Theory, n: int, s: Term, reg: _Registry) -> tuple[str, str]:
-    sname = print_formula(Eq(s, Term.zero())).removesuffix(" = 0")
+    sname = str(s)
 
     def make(which: str):
         def recipe(asg: dict[str, Element], _which=which) -> Element:
@@ -736,7 +735,7 @@ def _lex_eq(theory: Theory, n: int, s: Term, x: str, reg: _Registry) -> Formula:
     """Replacement for n*x = s."""
     if n == 1:
         return _rho_eq(x, reg, TermWitness(s))
-    sname = print_formula(Eq(s, Term.zero())).removesuffix(" = 0")
+    sname = str(s)
 
     def recipe(asg: dict[str, Element]) -> Element:
         v = models.eval_term(theory, s, asg)
@@ -762,7 +761,7 @@ def _coset_side_witnesses(theory: Theory, n: int, t: Term, k: int, side: int,
                           reg: _Registry) -> tuple[str, str]:
     """Witnesses e = (j + side - 1, 0) and d = e + first-unit for the coset
     threshold trick, where j = (k - first(t))/n."""
-    tname = print_formula(Eq(t, Term.zero())).removesuffix(" = 0")
+    tname = str(t)
     zero2 = _second_zero(theory)
 
     def make(offset: int):

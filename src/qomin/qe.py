@@ -1,11 +1,13 @@
 """Quantifier elimination and sentence decision for the theory roster.
 
-Engines: substitution + bound pairing for the dense order with predicate,
-Cooper's algorithm for integer arithmetic (divisibility-aware test points
-over an lcm-normalized variable), scaled Fourier-Motzkin for the divisible
-rational group, an instance-level candidate-class procedure for the
-chain-of-classes theory, and component reduction (integer sort + second
-sort) for the lexicographic products.
+One pipeline serves every theory: validate, relativize pres_n to pres_z or
+split a lexicographic product into its components, then eliminate
+innermost-first over DNF.  Variables of integer sort go to Cooper's
+algorithm (divisibility-aware test points over an lcm-normalized variable);
+the others go to the theory's dense engine: scaled Fourier-Motzkin for the
+divisible rational group, which also covers the dense order with predicate
+as its unit-coefficient case, and an instance-level candidate-class
+procedure for the chain-of-classes theory.
 """
 
 from __future__ import annotations
@@ -80,30 +82,13 @@ def _fold_atom(a) -> bool | None:
             if set(ks) <= {"1p", "1pp"}:
                 return ks.get("1pp", 0) % m == 0 and ks.get("1p", 0) % m == 0
             return None
-        case Pred("S", n, (l, r)):
-            if l == r:
-                return n == 0
-            d = l - r
-            if d.variables():
-                return None
-            v = _const_value(d)
-            if isinstance(v, tuple):
-                return abs(v[0]) == n
-            return None
+        case Pred("S", n, (l, r)) if l == r:
+            return n == 0
         case Pred("del", k, (t,)):
             v = _const_value(t)
             if v is None or not isinstance(v, tuple):
                 return None
             return v[0] == k
-        case Pred("P", _, (t,)):
-            v = _const_value(t)
-            if v is None or not isinstance(v, tuple):
-                return None
-            return v[0] % 2 == 0
-        case Pred("Qp", _, (t,)):
-            if t.variables():
-                return None
-            return True  # any constant in these signatures is dyadic
     return None
 
 
@@ -311,66 +296,6 @@ def _integer_sort(theory: Theory, sorts=()) -> Callable[[str], bool]:
 
 
 # ---------------------------------------------------------------------------
-# Dense linear order with a dense/codense predicate
-
-
-def _dlo_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
-    rest: list[Formula] = []
-    lowers: list[Term] = []
-    uppers: list[Term] = []
-    pred_pos = pred_neg = False
-    eq_partner: Term | None = None
-
-    others: list[Formula] = []
-    for lit in lits:
-        fv = free_vars(lit)
-        if v not in fv:
-            rest.append(lit)
-            continue
-        others.append(lit)
-
-    for lit in others:
-        match lit:
-            case Eq(l, r):
-                if l == r:
-                    continue
-                eq_partner = r if l == Term.var(v) else l
-            case _:
-                pass
-    if eq_partner is not None:
-        sub = {v: eq_partner}
-        return and_(*rest, *(substitute(lit, sub) for lit in others))
-
-    for lit in others:
-        match lit:
-            case Lt(l, r):
-                if l == r:
-                    return FALSE
-                if l == Term.var(v):
-                    uppers.append(r)
-                else:
-                    lowers.append(l)
-            case Eq(l, r):
-                continue  # only v = v reaches here
-            case Pred("Qp", _, _):
-                pred_pos = True
-            case Not(Pred("Qp", _, _)):
-                pred_neg = True
-            case _:
-                raise EvalError(f"unexpected literal {lit!r} in dense-order elimination")
-    if pred_pos and pred_neg:
-        return FALSE
-    # the predicate and its complement are both dense, so any nonempty open
-    # interval (and any unbounded side) contains a witness of either kind
-    pairs = [Lt(l, u) for l in lowers for u in uppers]
-    return and_(*rest, *pairs)
-
-
-def qe_dlo_pred(f: Formula) -> Formula:
-    return _eliminate(to_nnf(f), _dlo_exists)
-
-
-# ---------------------------------------------------------------------------
 # Cooper's algorithm for Presburger arithmetic
 
 
@@ -442,11 +367,6 @@ def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     branches = [] if cands else [instance(j, False) for j in shifts]
     branches += [instance(c + j, True) for c in cands for j in shifts]
     return simplify(and_(*rest, or_(*branches)))
-
-
-def qe_presburger(f: Formula) -> Formula:
-    int_var = _integer_sort(Theory.PRES_Z)
-    return _eliminate(to_nnf(f, int_var), _cooper_exists, int_var)
 
 
 def translate_nat(f: Formula) -> Formula:
@@ -524,7 +444,8 @@ def isolate_x_inequality(n: int, t: Term, var: str = "x") -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Divisible ordered group of rationals
+# Divisible ordered group of rationals; the dense order with predicate is its
+# unit-coefficient case
 
 
 def _doag_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
@@ -532,6 +453,7 @@ def _doag_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     lowers: list[tuple[int, Term]] = []  # (a, t): t < a*v
     uppers: list[tuple[int, Term]] = []  # (a, t): a*v < t
     eqs: list[tuple[int, Term]] = []     # (a, t): a*v = t
+    preds: list[Formula] = []            # Qp(v), ~Qp(v) in dlo_pred
     sides = {"lower": lowers, "upper": uppers, "eq": eqs}
 
     for lit in lits:
@@ -540,19 +462,20 @@ def _doag_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
                 sides[kind].append((a, t))
             case other if v not in free_vars(other):
                 rest.append(other)
+            case Pred("Qp") | Not(Pred("Qp")):
+                preds.append(lit)
             case _:
                 raise EvalError(f"unexpected literal {lit!r} in divisible-group elimination")
 
     if eqs:
-        n, s = eqs[0]  # v = s/n
-        return and_(*rest, *_pivot(n, s, eqs[1:], lowers, uppers))
+        n, s = eqs[0]  # v = s/n; n = 1 wherever Qp occurs
+        return and_(*rest, *_pivot(n, s, eqs[1:], lowers, uppers),
+                    *(substitute(p, {v: s}) for p in preds))
 
+    # without an equality the Qp literals drop: Qp and its complement are
+    # both dense, so every open interval holds witnesses of either kind
     pairs = [Lt(t.scale(b), u.scale(a)) for a, t in lowers for b, u in uppers]
     return and_(*rest, *pairs)
-
-
-def qe_doag(f: Formula) -> Formula:
-    return _eliminate(to_nnf(f), _doag_exists)
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +619,6 @@ def _tchain_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     return and_(*rest, body)
 
 
-def qe_tchain(f: Formula) -> Formula:
-    return _eliminate(to_nnf(f), _tchain_exists)
-
-
 # ---------------------------------------------------------------------------
 # Lexicographic products: component reduction
 
@@ -811,20 +730,6 @@ def lex_split(theory: Theory, f: Formula) -> ComponentFormula:
     return ComponentFormula(theory, formula, pairs, tuple(sorted(sorts.items())))
 
 
-def qe_lex(theory: Theory, f: Formula) -> ComponentFormula:
-    """Component QE: split, then eliminate second-coordinate variables with
-    the dense-group engine (Z x Q) or Cooper (Z x Z), and integer-coordinate
-    variables with Cooper."""
-    cf = lex_split(theory, f)
-    int_var = _integer_sort(theory, cf.sorts)
-
-    def elim(v: str, lits: tuple[Formula, ...]) -> Formula:
-        return _cooper_exists(v, lits) if int_var(v) else _doag_exists(v, lits)
-
-    out = simplify(_eliminate(to_nnf(cf.formula, int_var), elim, int_var))
-    return ComponentFormula(theory, out, cf.pairs, cf.sorts)
-
-
 # the scalar theory a component formula is evaluated in
 _COMPONENT_THEORY = {Theory.LEX_ZQ: Theory.DOAG_Q, Theory.LEX_ZZ: Theory.PRES_Z}
 
@@ -856,27 +761,43 @@ def eval_component(cf: ComponentFormula, asg: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher and sentence decision
+# The elimination pipeline and sentence decision
+
+
+# the engine for each theory's variables of non-integer sort; variables of
+# integer sort (see _integer_sort) are eliminated by Cooper
+_ENGINES = {
+    Theory.PRES_Z: _cooper_exists,
+    Theory.PRES_N: _cooper_exists,
+    Theory.LEX_ZZ: _cooper_exists,
+    Theory.DLO_PRED: _doag_exists,
+    Theory.DOAG_Q: _doag_exists,
+    Theory.LEX_ZQ: _doag_exists,
+    Theory.TCHAIN: _tchain_exists,
+}
 
 
 def qe(theory: Theory, f: Formula):
-    """Quantifier elimination for the given theory.  Lexicographic theories
-    return a ComponentFormula; all others return a Formula."""
+    """Quantifier elimination for the given theory.  pres_n is relativized
+    to pres_z first.  The lexicographic products are split into components
+    and return a ComponentFormula; all others return a Formula."""
     validate(f, theory)
-    match theory:
-        case Theory.DLO_PRED:
-            return simplify(qe_dlo_pred(f))
-        case Theory.PRES_Z:
-            return simplify(qe_presburger(f))
-        case Theory.PRES_N:
-            return simplify(qe_presburger(translate_nat(f)))
-        case Theory.DOAG_Q:
-            return simplify(qe_doag(f))
-        case Theory.TCHAIN:
-            return simplify(qe_tchain(f))
-        case Theory.LEX_ZQ | Theory.LEX_ZZ:
-            return qe_lex(theory, f)
-    raise UnsupportedTheoryError(f"no quantifier elimination engine for {theory.value}")
+    if theory not in _ENGINES:
+        raise UnsupportedTheoryError(f"no quantifier elimination engine for {theory.value}")
+    split = None
+    if theory == Theory.PRES_N:
+        f = translate_nat(f)
+    elif theory in (Theory.LEX_ZQ, Theory.LEX_ZZ):
+        split = lex_split(theory, f)
+        f = split.formula
+    int_var = _integer_sort(theory, split.sorts if split else ())
+    dense = _ENGINES[theory]
+
+    def elim(v: str, lits: tuple[Formula, ...]) -> Formula:
+        return _cooper_exists(v, lits) if int_var(v) else dense(v, lits)
+
+    out = simplify(_eliminate(to_nnf(f, int_var), elim, int_var))
+    return out if split is None else ComponentFormula(theory, out, split.pairs, split.sorts)
 
 
 def oracle_agreement(theory: Theory, f: Formula, asg_window, search_window,

@@ -279,6 +279,19 @@ def test_n_zero_is_a_value(capsys):
     assert (code, err) == (3, "qomin: cut coefficient must be positive\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theory", "dyadic", "E u. u < x"],
+    ["verify", "--theory", "dyadic", "E u. u < x", "--window", "-2,2,2",
+     "--asg-window", "-1,1,2"],
+    ["classes", "--theory", "dyadic", "x < y", "--var", "x", "--params", "0"],
+], ids=["verify", "verify-windows", "classes"])
+def test_theory_without_corpus_exits_three(capsys, argv):
+    # exit 1 would read as "decided false" or DISAGREE
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("qomin: ") and "dyadic" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # one parser serves every call of a process: no call may see another's state
 

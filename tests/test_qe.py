@@ -4,7 +4,7 @@ sentence decision."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qomin import corpus, models
 from qomin import qe as qe_module
@@ -12,9 +12,8 @@ from qomin.errors import NonSentenceError, UnsupportedTheoryError
 from qomin.models import Window
 from qomin.qe import (
     ComponentFormula, decide, eval_component, isolate_x_equality,
-    isolate_x_inequality, lex_split, oracle_agreement, qe, qe_dlo_pred,
-    qe_doag, qe_presburger, qe_tchain, rewrite_divisibility, simplify,
-    translate_nat,
+    isolate_x_inequality, lex_split, oracle_agreement, qe,
+    rewrite_divisibility, simplify, translate_nat,
 )
 from qomin.syntax import (
     And, Div, Eq, Exists, Lt, Or, Term, Theory, and_, atoms, free_vars,
@@ -184,6 +183,68 @@ def test_dlo_between_with_predicate():
     assert print_formula(qe(D, parse("E x. Qp(x)", D))) == "true"
     assert print_formula(qe(D, parse("E x. x = y & Qp(x)", D))) == "Qp(y)"
     assert print_formula(qe(D, parse("E x. y < x & x < z", D))) == "y < z"
+
+
+# Generated dlo_pred blocks.  The corpus assignment window holds only dyadic
+# points, where Qp(y) reads as true; this one holds thirds as well.  The
+# search window puts a dyadic and a non-dyadic point in every gap between
+# assignment points and past both ends, so one quantifier block is decided
+# exactly by the oracle.
+DLO_WINDOWS = (Window(Fraction(-2), Fraction(2), 3), Window(Fraction(-3), Fraction(3), 12))
+
+
+def _is_dyadic(q):
+    return q.denominator & (q.denominator - 1) == 0
+
+
+def test_dlo_windows_separate_qp():
+    asg, search = (models.enumerate_window(Theory.DLO_PRED, w) for w in DLO_WINDOWS)
+    assert not all(map(_is_dyadic, asg)) and set(asg) <= set(search)
+    points = sorted(asg)
+    for lo, hi in zip([None, *points], [*points, None]):
+        gap = [q for q in search if (lo is None or lo < q) and (hi is None or q < hi)]
+        assert {_is_dyadic(q) for q in gap} == {True, False}, (lo, hi)
+
+
+@st.composite
+def _dlo_literal(draw):
+    kind = draw(st.sampled_from(("<", "=", "Qp")))
+    terms = st.sampled_from(("u", "y", "z"))
+    text = f"Qp({draw(terms)})" if kind == "Qp" else f"{draw(terms)} {kind} {draw(terms)}"
+    return f"~({text})" if draw(st.booleans()) else text
+
+
+@st.composite
+def _dlo_block(draw):
+    # in a third of the draws an equality on u carries a Qp literal: a guard
+    # of the E block, the antecedent of the A block
+    lits = draw(st.lists(_dlo_literal(), min_size=1, max_size=3))
+    body = f"({lits[0]})"
+    for lit in lits[1:]:
+        body = f"({body} {draw(st.sampled_from(('&', '|', '->', '<->')))} ({lit}))"
+    quant = draw(st.sampled_from("EA"))
+    if draw(st.integers(0, 2)) == 0:
+        guard = f"u = {draw(st.sampled_from('yz'))} & {draw(st.sampled_from(('Qp(u)', '~Qp(u)')))}"
+        body = f"{guard} {'&' if quant == 'E' else '->'} {body}"
+    return f"{quant} u. {body}"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_dlo_block())
+@example("E u. u = y & u = z & Qp(u)")
+def test_dlo_pred_blocks_agree_with_oracle(text):
+    D = Theory.DLO_PRED
+    total, mismatches = oracle_agreement(D, parse(text, D), *DLO_WINDOWS)
+    assert total > 0 and not mismatches, text
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("E u. u = y & ~Qp(u)", "~Qp(y)"),
+    ("E u. u < x & u = y & z < u & Qp(u)", "z < y & y < x & Qp(y)"),
+])
+def test_dlo_pred_qp_across_equality(text, expected):
+    D = Theory.DLO_PRED
+    assert print_formula(qe(D, parse(text, D))) == expected
 
 
 # ---------------------------------------------------------------------------
