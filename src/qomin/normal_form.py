@@ -15,6 +15,7 @@ the three-case rewriting of n*x > a) and for the chain-of-classes model
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -505,6 +506,8 @@ def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
     g = simplify(to_nnf(g))
 
     rho_names = {reg.name(j): j for j in range(len(reg.specs))}
+    # DNF conjuncts share literals; each is classified once
+    rho_of = functools.cache(lambda lit: _rho_of(lit, x, rho_names))
 
     disjuncts: list[Disjunct] = []
     seen = set()
@@ -525,12 +528,15 @@ def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
             if zs:
                 if isinstance(lit, Not):
                     raise DecompositionError(f"negated witness constraint survived NNF: {lit}")
-                rho.append(_rho_of(lit, x, rho_names))
+                rho.append(rho_of(lit))
             elif x in vs:
                 phi_lits.append(lit)
             else:
                 psi_lits.append(lit)
-        d = Disjunct(and_(*phi_lits), and_(*psi_lits), tuple(sorted(set(rho))))
+        rho = sorted(set(rho))
+        if len({j for _, j in rho}) < len(rho):
+            continue  # x = z, x < z and z < x exclude each other: no point
+        d = Disjunct(and_(*phi_lits), and_(*psi_lits), tuple(rho))
         key = (d.phi, d.psi, d.rho)
         if key not in seen:
             seen.add(key)
@@ -542,16 +548,13 @@ def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
     return dec
 
 
+_RHO_OPS = {"eq": "eq", "upper": "below", "lower": "above"}
+
+
 def _rho_of(lit: Formula, x: str, rho_names: dict[str, int]) -> RhoAtom:
-    xt = Term.var(x)
-    match lit:
-        case Eq(l, r):
-            z = r if l == xt else l
-            return ("eq", rho_names[z.coeffs[0][0]])
-        case Lt(l, r):
-            if l == xt:
-                return ("below", rho_names[r.coeffs[0][0]])
-            return ("above", rho_names[l.coeffs[0][0]])
+    match solve_for(lit, x):
+        case Solved(kind, 1, t) if kind in _RHO_OPS:
+            return (_RHO_OPS[kind], rho_names[t.coeffs[0][0]])
     raise DecompositionError(f"bad witness constraint {lit}")
 
 
@@ -642,8 +645,6 @@ def _replace_tchain(a, x: str, reg: _Registry) -> Formula:
         case Pred("P", _, _):
             return a
         case Pred("S", n, (l, r)):
-            if l == r:
-                return TRUE if n == 0 else FALSE
             u = (r if l == xt else l).coeffs[0][0]
             pu = Pred("P", None, (Term.var(u),))
             px = Pred("P", None, (xt,))

@@ -7,7 +7,8 @@ algorithm (divisibility-aware test points over an lcm-normalized variable);
 the others go to the theory's dense engine: scaled Fourier-Motzkin for the
 divisible rational group, which also covers the dense order with predicate
 as its unit-coefficient case, and an instance-level candidate-class
-procedure for the chain-of-classes theory.
+procedure for the chain-of-classes theory.  The engines share one literal
+classifier and one equality pivot; the driver simplifies once per step.
 """
 
 from __future__ import annotations
@@ -257,7 +258,8 @@ def _merge_conj(left: tuple[Formula, ...], right: tuple[Formula, ...]) -> tuple[
 def _eliminate(f: Formula, elim_exists,
                int_var: Callable[[str], bool] = lambda v: False) -> Formula:
     """f must be in NNF.  elim_exists(var, literals) -> Formula; int_var
-    tells to_nnf which variables have integer sort."""
+    tells to_nnf which variables have integer sort.  Every node comes back
+    simplified, so each elimination step simplifies exactly once."""
 
     def rec(g: Formula) -> Formula:
         match g:
@@ -274,14 +276,12 @@ def _eliminate(f: Formula, elim_exists,
                 negated = simplify(to_nnf(Not(inner), int_var))
                 return simplify(to_nnf(Not(_exists(v, negated)), int_var))
             case _:
-                return g
+                return simplify(g)
 
     def _exists(v: str, body: Formula) -> Formula:
-        body = simplify(body)
         if v not in free_vars(body):
             return body
-        results = [elim_exists(v, conj) for conj in dnf(body)]
-        return simplify(or_(*results))
+        return simplify(or_(*(elim_exists(v, conj) for conj in dnf(body))))
 
     return rec(f)
 
@@ -305,41 +305,54 @@ def _div_lit(m: int, t: Term, positive: bool) -> Formula:
     return atom if positive else (Not(atom) if atom != TRUE else FALSE)
 
 
-def _pivot(n: int, s: Term, eqs, lowers, uppers, divs=()) -> list[Formula]:
+def _classify(v: str, lits: tuple[Formula, ...], accepts) -> tuple[list, ...]:
+    """Sort a conjunct's literals for the elimination of v.
+
+    Returns (rest, lowers, uppers, eqs, divs, preds): the literals free of v;
+    the pairs (a, t) of t < a*v, a*v < t and a*v = t; the tuples
+    (m, a, t, positive) of D_m(a*v + t) and its negation; and the predicate
+    literals on v.  accepts names what an engine handles beyond bounds and
+    equalities: "div", or predicate names.  Any other literal on v raises
+    EvalError.
+    """
+    rest: list[Formula] = []
+    divs: list[tuple[int, int, Term, bool]] = []
+    preds: list[Formula] = []
+    sides: dict[str, list[tuple[int, Term]]] = {"lower": [], "upper": [], "eq": []}
+    for lit in lits:
+        match solve_for(lit, v):
+            case Solved("div", a, t, m, positive) if "div" in accepts:
+                divs.append((m, a, t, positive))
+            case Solved(kind, a, t) if kind in sides:
+                sides[kind].append((a, t))
+            case other if not isinstance(other, Solved) and v not in free_vars(other):
+                rest.append(other)
+            case Pred(name) | Not(Pred(name)) if name in accepts:
+                preds.append(lit)
+            case _:
+                raise EvalError(f"unexpected literal {lit!r} in the elimination of {v}")
+    return rest, sides["lower"], sides["upper"], sides["eq"], divs, preds
+
+
+def _pivot(v: str, n: int, s: Term, eqs, lowers, uppers, divs=(), preds=()) -> list[Formula]:
     """The literals on v after substituting v = s/n from the equality n*v = s
-    (n > 0): a*v = t, t < a*v and a*v < t scale by n, and D_m(a*v + t)
-    becomes D_{m*n}(a*s + n*t), exact once D_n(s) holds."""
+    (n > 0): a*v = t, t < a*v and a*v < t scale by n, D_m(a*v + t) becomes
+    D_{m*n}(a*s + n*t), exact once D_n(s) holds, and predicate literals take
+    s for v (n = 1 wherever one occurs)."""
     return [
         *(Eq(s.scale(a), t.scale(n)) for a, t in eqs),
         *(Lt(t.scale(n), s.scale(a)) for a, t in lowers),
         *(Lt(s.scale(a), t.scale(n)) for a, t in uppers),
         *(_div_lit(m * n, s.scale(a) + t.scale(n), pos) for m, a, t, pos in divs),
+        *(substitute(p, {v: s}) for p in preds),
     ]
 
 
 def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
-    rest: list[Formula] = []
-    lowers: list[tuple[int, Term]] = []   # (a, t): t < a*v
-    uppers: list[tuple[int, Term]] = []   # (a, t): a*v < t
-    eqs: list[tuple[int, Term]] = []      # (a, t): a*v = t
-    divs: list[tuple[int, int, Term, bool]] = []  # (m, a, t, positive): D_m(a*v + t)
-    sides = {"lower": lowers, "upper": uppers, "eq": eqs}
-
-    for lit in lits:
-        match solve_for(lit, v):
-            case Solved("div", a, t, m, positive):
-                divs.append((m, a, t, positive))
-            case Solved(kind, a, t):
-                sides[kind].append((a, t))
-            case other if v not in free_vars(other):
-                rest.append(other)
-            case _:
-                raise EvalError(f"unexpected literal {lit!r} in integer elimination")
-
+    rest, lowers, uppers, eqs, divs, _ = _classify(v, lits, {"div"})
     if eqs:
         n, s = eqs[0]  # v = s/n, an integer exactly when D_n(s)
-        pivot = _pivot(n, s, eqs[1:], lowers, uppers, divs)
-        return simplify(and_(*rest, _div_lit(n, s, True), *pivot))
+        return and_(*rest, _div_lit(n, s, True), *_pivot(v, n, s, eqs[1:], lowers, uppers, divs))
 
     coeffs = [a for a, _ in lowers] + [a for a, _ in uppers] + [a for _, a, _, _ in divs]
     big = math.lcm(*coeffs) if coeffs else 1
@@ -366,7 +379,7 @@ def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     shifts = [Term.const(sign * j) for j in range(1, period + 1)]
     branches = [] if cands else [instance(j, False) for j in shifts]
     branches += [instance(c + j, True) for c in cands for j in shifts]
-    return simplify(and_(*rest, or_(*branches)))
+    return and_(*rest, or_(*branches))
 
 
 def translate_nat(f: Formula) -> Formula:
@@ -449,28 +462,10 @@ def isolate_x_inequality(n: int, t: Term, var: str = "x") -> Formula:
 
 
 def _doag_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
-    rest: list[Formula] = []
-    lowers: list[tuple[int, Term]] = []  # (a, t): t < a*v
-    uppers: list[tuple[int, Term]] = []  # (a, t): a*v < t
-    eqs: list[tuple[int, Term]] = []     # (a, t): a*v = t
-    preds: list[Formula] = []            # Qp(v), ~Qp(v) in dlo_pred
-    sides = {"lower": lowers, "upper": uppers, "eq": eqs}
-
-    for lit in lits:
-        match solve_for(lit, v):
-            case Solved(kind, a, t) if kind in sides:
-                sides[kind].append((a, t))
-            case other if v not in free_vars(other):
-                rest.append(other)
-            case Pred("Qp") | Not(Pred("Qp")):
-                preds.append(lit)
-            case _:
-                raise EvalError(f"unexpected literal {lit!r} in divisible-group elimination")
-
+    rest, lowers, uppers, eqs, _, preds = _classify(v, lits, {"Qp"})
     if eqs:
         n, s = eqs[0]  # v = s/n; n = 1 wherever Qp occurs
-        return and_(*rest, *_pivot(n, s, eqs[1:], lowers, uppers),
-                    *(substitute(p, {v: s}) for p in preds))
+        return and_(*rest, *_pivot(v, n, s, eqs[1:], lowers, uppers, preds=preds))
 
     # without an equality the Qp literals drop: Qp and its complement are
     # both dense, so every open interval holds witnesses of either kind
@@ -518,63 +513,26 @@ def _cl_ge_shift(a: str, w: str, m: int) -> Formula:
 
 
 def _tchain_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
-    rest: list[Formula] = []
-    lowers: list[str] = []
-    uppers: list[str] = []
+    rest, lower_pairs, upper_pairs, eqs, _, preds = _classify(v, lits, {"P", "S"})
+    if eqs:
+        n, s = eqs[0]  # v = w for a variable w, so n = 1
+        return and_(*rest, *_pivot(v, n, s, eqs[1:], lower_pairs, upper_pairs, preds=preds))
+
+    # every term here is one variable: w < v, v < w, S_n(v, w), S_n(w, v);
+    # simplify has folded v < v and S_n(v, v), and dnf drops P(v) & ~P(v)
+    lowers = [t.coeffs[0][0] for _, t in lower_pairs]
+    uppers = [t.coeffs[0][0] for _, t in upper_pairs]
     pos_s: list[tuple[int, str]] = []
     neg_s: list[tuple[int, str]] = []
     parity: str | None = None  # 'even' for P(v), 'odd' for ~P(v)
-    vterm = Term.var(v)
-
-    pending: list[Formula] = []
-    for lit in lits:
-        if v not in free_vars(lit):
-            rest.append(lit)
+    for lit in preds:
+        atom = lit.arg if isinstance(lit, Not) else lit
+        if atom.name == "P":
+            parity = "even" if atom is lit else "odd"
             continue
-        pending.append(lit)
-
-    # an equality literal lets us substitute v away entirely
-    for lit in pending:
-        if isinstance(lit, Eq) and lit.left != lit.right:
-            u = lit.right if lit.left == vterm else lit.left
-            sub = {v: u}
-            return and_(*rest, *(substitute(o, sub) for o in pending if o is not lit))
-
-    for lit in pending:
-        match lit:
-            case Eq(l, r):
-                continue  # v = v
-            case Lt(l, r):
-                if l == r:
-                    return FALSE
-                if l == vterm:
-                    uppers.append(r.coeffs[0][0])
-                else:
-                    lowers.append(l.coeffs[0][0])
-            case Pred("P", _, _):
-                if parity == "odd":
-                    return FALSE
-                parity = "even"
-            case Not(Pred("P", _, _)):
-                if parity == "even":
-                    return FALSE
-                parity = "odd"
-            case Pred("S", n, (l, r)):
-                if l == r:
-                    if n != 0:
-                        return FALSE
-                    continue
-                other = r.coeffs[0][0] if l == vterm else l.coeffs[0][0]
-                pos_s.append((n, other))
-            case Not(Pred("S", n, (l, r))):
-                if l == r:
-                    if n == 0:
-                        return FALSE
-                    continue
-                other = r.coeffs[0][0] if l == vterm else l.coeffs[0][0]
-                neg_s.append((n, other))
-            case _:
-                raise EvalError(f"unexpected literal {lit!r} in chain elimination")
+        l, r = atom.args
+        other = (r if l == Term.var(v) else l).coeffs[0][0]
+        (pos_s if atom is lit else neg_s).append((atom.index, other))
 
     params: list[str] = []
     for name in lowers + uppers + [u for _, u in pos_s] + [u for _, u in neg_s]:
@@ -615,8 +573,7 @@ def _tchain_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     if not pos_s and not lowers:
         branches.append(TRUE)  # witnesses arbitrarily far left
 
-    body = simplify(to_nnf(or_(*branches)))
-    return and_(*rest, body)
+    return and_(*rest, to_nnf(or_(*branches)))
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +753,7 @@ def qe(theory: Theory, f: Formula):
     def elim(v: str, lits: tuple[Formula, ...]) -> Formula:
         return _cooper_exists(v, lits) if int_var(v) else dense(v, lits)
 
-    out = simplify(_eliminate(to_nnf(f, int_var), elim, int_var))
+    out = _eliminate(to_nnf(f, int_var), elim, int_var)
     return out if split is None else ComponentFormula(theory, out, split.pairs, split.sorts)
 
 

@@ -283,6 +283,21 @@ def test_decompose_lex_three_cases():
     assert zs == ((0, Fraction(0)), (1, Fraction(0)))
 
 
+def test_decompose_drops_empty_disjuncts():
+    """x = z, x < z and z < x exclude each other, so a disjunct that puts two
+    of them on one witness describes no point and is left out."""
+    for theory in corpus.CORPUS:
+        for entry in corpus.entries(theory):
+            if entry.dist_var is None:
+                continue
+            dec = decompose(theory, parse(entry.text, theory), entry.dist_var)
+            for d in dec.disjuncts:
+                named = [j for _, j in d.rho]
+                assert len(named) == len(set(named)), (theory, entry.text, d.rho)
+    D = Theory.DLO_PRED
+    assert len(decompose(D, parse("A u. u < x -> u < y", D), "x").disjuncts) == 2
+
+
 def test_decompose_degenerate_without_variable():
     theta = parse("D2(y)", Theory.PRES_Z)
     dec = decompose(Theory.PRES_Z, theta, "x")

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qomin import corpus, models
 from qomin import qe as qe_module
-from qomin.errors import NonSentenceError, UnsupportedTheoryError
+from qomin.errors import EvalError, NonSentenceError, UnsupportedTheoryError
 from qomin.models import Window
 from qomin.qe import (
     ComponentFormula, decide, eval_component, isolate_x_equality,
@@ -16,7 +16,7 @@ from qomin.qe import (
     rewrite_divisibility, simplify, translate_nat,
 )
 from qomin.syntax import (
-    And, Div, Eq, Exists, Lt, Or, Term, Theory, and_, atoms, free_vars,
+    And, Div, Eq, Exists, Lt, Or, Pred, Term, Theory, and_, atoms, free_vars,
     is_quantifier_free, parse, print_formula, to_nnf, Not,
 )
 
@@ -306,6 +306,76 @@ def test_tchain_composed_distances():
     asg_w, _ = corpus.windows(T)
     for asg in _assignments(T, ["y", "z"], asg_w):
         assert models.eval_qf(T, out, asg) == models.eval_qf(T, ref, asg)
+
+
+# Generated tchain blocks.  Literals relate u to y and z by at most one class
+# (S_n with n <= 1), so one block needs a witness at most two classes beyond
+# the assignment classes, of either parity, or a second coordinate between or
+# beyond the assigned ones; the corpus search window holds all of these.
+TCHAIN_WINDOWS = (Window((-1, Fraction(-1)), (1, Fraction(1)), 1), corpus.windows(Theory.TCHAIN)[1])
+
+
+def test_tchain_windows_are_exact():
+    asg, search = (models.enumerate_window(Theory.TCHAIN, w) for w in TCHAIN_WINDOWS)
+    assert set(asg) <= set(search)
+    lo, hi = min(a for a, _ in asg), max(a for a, _ in asg)
+    classes = {a for a, _ in search}
+    assert {c % 2 for c in classes if c >= hi + 2} == {0, 1}
+    assert {c % 2 for c in classes if c <= lo - 2} == {0, 1}
+    seconds = sorted({q for _, q in asg})
+    for c in classes:
+        inside = {q for a, q in search if a == c}
+        for below, above in zip([None, *seconds], [*seconds, None]):
+            assert any((below is None or below < q) and (above is None or q < above)
+                       for q in inside), (c, below, above)
+
+
+@st.composite
+def _tchain_literal(draw):
+    w = draw(st.sampled_from("yz"))
+    kind = draw(st.sampled_from(("u < w", "w < u", "u = w", "P(u)", "S")))
+    if kind == "S":
+        args = draw(st.sampled_from((f"u, {w}", f"{w}, u")))
+        text = f"S{draw(st.integers(0, 1))}({args})"
+    else:
+        text = kind.replace("w", w)
+    return f"~({text})" if draw(st.booleans()) else text
+
+
+@st.composite
+def _tchain_block(draw):
+    # in a third of the draws an equality on u guards the body, so the
+    # pivot carries the other literals, predicates included, across it
+    lits = draw(st.lists(_tchain_literal(), min_size=1, max_size=3))
+    body = f"({lits[0]})"
+    for lit in lits[1:]:
+        body = f"({body} {draw(st.sampled_from(('&', '|', '->', '<->')))} ({lit}))"
+    quant = draw(st.sampled_from("EA"))
+    if draw(st.integers(0, 2)) == 0:
+        guard = f"u = {draw(st.sampled_from('yz'))} & {draw(_tchain_literal())}"
+        body = f"({guard}) {'&' if quant == 'E' else '->'} {body}"
+    return f"{quant} u. {body}"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_tchain_block())
+@example("E u. (u = z & S0(y, u)) & u < y")
+def test_tchain_blocks_agree_with_oracle(text):
+    T = Theory.TCHAIN
+    total, mismatches = oracle_agreement(T, parse(text, T), *TCHAIN_WINDOWS)
+    assert total > 0 and not mismatches, text
+
+
+# Each engine classifies literals through one routine, which rejects a
+# literal on the variable that the engine has no rule for.
+@pytest.mark.parametrize("engine,lit", [
+    (qe_module._doag_exists, Div(2, Term.var("u"))),
+    (qe_module._cooper_exists, Pred("Qp", None, (Term.var("u"),))),
+    (qe_module._tchain_exists, Div(2, Term.var("u"))),
+])
+def test_engines_reject_foreign_literals(engine, lit):
+    with pytest.raises(EvalError):
+        engine("u", (lit,))
 
 
 # ---------------------------------------------------------------------------
