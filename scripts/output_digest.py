@@ -4,7 +4,9 @@
 Prints the row count, atom total and sha256 of the `qe` outputs over the
 corpus plus the benchmark's generated `eliminate` family (seed 941), and the
 disjunct total and sha256 of the corpus decompositions.  Two trees print the
-same digest exactly when those outputs are byte-identical.
+same digest exactly when those outputs are byte-identical.  CI compares
+the two lines with scripts/output_digest.expected; a change that alters an
+output on purpose updates that file in the same commit.
 
 Usage: python scripts/output_digest.py   (from the repository root)
 """

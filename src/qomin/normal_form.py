@@ -511,13 +511,7 @@ def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
 
     disjuncts: list[Disjunct] = []
     seen = set()
-    if g == TRUE:
-        conjs = [()]
-    elif g == FALSE:
-        conjs = []
-    else:
-        conjs = dnf(g)
-    for conj in conjs:
+    for conj in dnf(g):
         phi_lits: list[Formula] = []
         psi_lits: list[Formula] = []
         rho: list[RhoAtom] = []

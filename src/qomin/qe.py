@@ -53,36 +53,20 @@ def _const_value(t: Term):
     return None
 
 
-def _zero_like(v):
-    if isinstance(v, tuple):
-        return (0, v[1] * 0)
-    return 0
-
-
 def _fold_atom(a) -> bool | None:
     """Truth value of a variable-free atom, None when not decidable here."""
     match a:
-        case Lt(l, r):
+        case Lt(l, r) | Eq(l, r):
             v = _const_value(l - r)
             if v is None:
                 return None
-            return v < _zero_like(v)
-        case Eq(l, r):
-            v = _const_value(l - r)
-            if v is None:
-                return None
-            return v == _zero_like(v)
+            zero = (0, 0) if isinstance(v, tuple) else 0
+            return v < zero if isinstance(a, Lt) else v == zero
         case Div(m, t):
-            if t.variables():
+            v = _const_value(t)
+            if v is None:
                 return None
-            ks = dict(t.consts)
-            if set(ks) <= {"1"}:
-                return ks.get("1", 0) % m == 0
-            if set(ks) <= {"1Z"}:
-                return ks.get("1Z", 0) % m == 0
-            if set(ks) <= {"1p", "1pp"}:
-                return ks.get("1pp", 0) % m == 0 and ks.get("1p", 0) % m == 0
-            return None
+            return all(c % m == 0 for c in (v if isinstance(v, tuple) else (v,)))
         case Pred("S", n, (l, r)) if l == r:
             return n == 0
         case Pred("del", k, (t,)):
@@ -97,99 +81,43 @@ def _complement(f: Formula) -> Formula:
     return f.arg if isinstance(f, Not) else Not(f)
 
 
-def _simplify_once(f: Formula) -> Formula:
-    match f:
-        case Bool():
-            return f
-        case Lt() | Eq() | Div() | Pred():
-            v = _fold_atom(f)
-            return f if v is None else Bool(v)
-        case Not(arg):
-            a = _simplify_once(arg)
-            if isinstance(a, Bool):
-                return Bool(not a.value)
-            if isinstance(a, Not):
-                return a.arg
-            return Not(a)
-        case And(args):
-            parts: list[Formula] = []
-            seen = set()
-            for a in args:
-                s = _simplify_once(a)
-                if s == FALSE:
-                    return FALSE
-                if s == TRUE:
-                    continue
-                leaves = s.args if isinstance(s, And) else (s,)
-                for leaf in leaves:
-                    if leaf in seen:
-                        continue
-                    if _complement(leaf) in seen:
-                        return FALSE
-                    seen.add(leaf)
-                    parts.append(leaf)
-            return and_(*parts)
-        case Or(args):
-            parts = []
-            seen = set()
-            for a in args:
-                s = _simplify_once(a)
-                if s == TRUE:
-                    return TRUE
-                if s == FALSE:
-                    continue
-                leaves = s.args if isinstance(s, Or) else (s,)
-                for leaf in leaves:
-                    if leaf in seen:
-                        continue
-                    if _complement(leaf) in seen:
-                        return TRUE
-                    seen.add(leaf)
-                    parts.append(leaf)
-            return or_(*parts)
-        case Implies(l, r):
-            sl, sr = _simplify_once(l), _simplify_once(r)
-            if sl == FALSE or sr == TRUE:
-                return TRUE
-            if sl == TRUE:
-                return sr
-            if sr == FALSE:
-                return _simplify_once(Not(sl))
-            return Implies(sl, sr)
-        case Iff(l, r):
-            sl, sr = _simplify_once(l), _simplify_once(r)
-            if sl == sr:
-                return TRUE
-            if sl == TRUE:
-                return sr
-            if sr == TRUE:
-                return sl
-            if sl == FALSE:
-                return _simplify_once(Not(sr))
-            if sr == FALSE:
-                return _simplify_once(Not(sl))
-            return Iff(sl, sr)
-        case Exists(v, body):
-            b = _simplify_once(body)
-            if isinstance(b, Bool):
-                return b
-            return Exists(v, b)
-        case Forall(v, body):
-            b = _simplify_once(body)
-            if isinstance(b, Bool):
-                return b
-            return Forall(v, b)
-    return f
+def _connect(cls: type, parts) -> Formula:
+    """The And or Or (cls) of parts that are already simplified, folded once:
+    nested cls nodes are flattened, units and duplicates dropped, argument
+    order kept; the zero when a part is the zero or a literal meets its
+    complement."""
+    unit, zero = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
+    out: list[Formula] = []
+    seen = set()
+    for p in parts:
+        if p == zero:
+            return zero
+        if p == unit:
+            continue
+        for leaf in p.args if isinstance(p, cls) else (p,):
+            if leaf in seen:
+                continue
+            if _complement(leaf) in seen:
+                return zero
+            seen.add(leaf)
+            out.append(leaf)
+    return and_(*out) if cls is And else or_(*out)
 
 
 def simplify(f: Formula) -> Formula:
-    """Constant folding, flattening, duplicate and complement removal, to a
-    fixpoint.  Deterministic: argument order is preserved."""
-    while True:
-        g = _simplify_once(f)
-        if g == f:
-            return g
-        f = g
+    """One bottom-up pass over a quantifier-free NNF formula: closed atoms
+    and their negations fold to truth values, and each And/Or node is folded
+    once by _connect.  Deterministic: argument order is preserved.  A node
+    outside that grammar (a quantifier, ->, <->, or a negation of a
+    non-atom) comes back unchanged, which is sound."""
+    match f:
+        case And(args) | Or(args):
+            return _connect(type(f), [simplify(a) for a in args])
+        case Not(arg):
+            v = _fold_atom(arg)
+            return f if v is None else Bool(not v)
+    v = _fold_atom(f)
+    return f if v is None else Bool(v)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +187,16 @@ def _eliminate(f: Formula, elim_exists,
                int_var: Callable[[str], bool] = lambda v: False) -> Formula:
     """f must be in NNF.  elim_exists(var, literals) -> Formula; int_var
     tells to_nnf which variables have integer sort.  Every node comes back
-    simplified, so each elimination step simplifies exactly once."""
+    simplified: an atom, an engine output or a negated universal body goes
+    through simplify's one pass, and an And/Or node folds its simplified
+    children with _connect without walking them again."""
 
     def rec(g: Formula) -> Formula:
         match g:
             case And(args):
-                return simplify(and_(*(rec(a) for a in args)))
+                return _connect(And, [rec(a) for a in args])
             case Or(args):
-                return simplify(or_(*(rec(a) for a in args)))
+                return _connect(Or, [rec(a) for a in args])
             case Exists(v, body):
                 return _exists(v, rec(body))
             case Forall(v, body):

@@ -16,8 +16,8 @@ from qomin.qe import (
     rewrite_divisibility, simplify, translate_nat,
 )
 from qomin.syntax import (
-    And, Div, Eq, Exists, Lt, Or, Pred, Term, Theory, and_, atoms, free_vars,
-    is_quantifier_free, parse, print_formula, to_nnf, Not,
+    And, Div, Eq, Exists, FALSE, Lt, Or, Pred, TRUE, Term, Theory, and_, atoms,
+    free_vars, is_quantifier_free, parse, print_formula, to_nnf, Not,
 )
 
 Z = Theory.PRES_Z
@@ -25,6 +25,83 @@ Z = Theory.PRES_Z
 
 def out_formula(result):
     return result.formula if isinstance(result, ComponentFormula) else result
+
+
+# ---------------------------------------------------------------------------
+# Boolean simplification
+
+_x, _y = Term.var("x"), Term.var("y")
+_a, _b, _c = Lt(_x, _y), Div(2, _x), Pred("P", None, (_x,))
+_one, _two = Term.const(1), Term.const(2)
+_z1, _p1, _pp1 = Term.const(1, "1Z"), Term.const(1, "1p"), Term.const(1, "1pp")
+
+
+@pytest.mark.parametrize("f, expected", [
+    # units and zeros
+    (And((TRUE, _a)), _a),
+    (Or((FALSE, _a)), _a),
+    (And((_a, FALSE, _b)), FALSE),
+    (Or((_a, TRUE)), TRUE),
+    (And((TRUE, TRUE)), TRUE),
+    # duplicates
+    (And((_a, _b, _a)), And((_a, _b))),
+    (Or((_b, _b)), _b),
+    # a literal next to its complement
+    (And((_a, _b, Not(_a))), FALSE),
+    (Or((Not(_b), _a, _b)), TRUE),
+    (Or((And((_a, Not(_a))), _b)), _b),
+    # nested nodes of the same connective are flattened
+    (And((_a, And((_b, _c)))), And((_a, _b, _c))),
+    (Or((Or((_a, _b)), Or((_b, _c)))), Or((_a, _b, _c))),
+    (And((_a, Or((_b, _c)))), And((_a, Or((_b, _c))))),
+    # argument order is kept
+    (And((_c, _b, _a)), And((_c, _b, _a))),
+    # closed order and equality atoms over 1, 1Z and 1p/1pp
+    (Lt(_one, _two), TRUE),
+    (Lt(_two, _one), FALSE),
+    (Eq(_one + _one, _two), TRUE),
+    (Lt(_z1, _z1 + _z1), TRUE),
+    (Eq(_z1, _z1.scale(2)), FALSE),
+    (Lt(_p1.scale(5), _pp1), TRUE),
+    (Lt(_pp1, _p1 + _pp1), TRUE),
+    (Eq(_p1 + _pp1, _pp1 + _p1), TRUE),
+    (Eq(_p1, _pp1), FALSE),
+    # closed divisibility over the same constants
+    (Div(2, Term.const(4)), TRUE),
+    (Div(3, Term.const(4)), FALSE),
+    (Div(2, _z1.scale(6)), TRUE),
+    (Div(2, _z1.scale(3)), FALSE),
+    (Div(2, _pp1.scale(2) + _p1.scale(4)), TRUE),
+    (Div(2, _pp1.scale(2) + _p1), FALSE),
+    # S_n(t, t) and del_k of a constant
+    (Pred("S", 0, (_x, _x)), TRUE),
+    (Pred("S", 2, (_x, _x)), FALSE),
+    (Pred("del", 1, (_pp1 + _p1.scale(3),)), TRUE),
+    (Pred("del", 0, (_pp1,)), FALSE),
+    # the negation of a foldable atom
+    (Not(Lt(_one, _two)), FALSE),
+    (Not(Div(2, Term.const(3))), TRUE),
+    (And((Not(Eq(_one, _two)), _a)), _a),
+    # atoms with variables stay
+    (_b, _b),
+    (Not(_b), Not(_b)),
+    (Pred("S", 1, (_x, _y)), Pred("S", 1, (_x, _y))),
+])
+def test_simplify_table(f, expected):
+    assert simplify(f) == expected
+
+
+def test_qe_outputs_are_simplify_fixpoints_on_corpus():
+    """Every qe output is a fixpoint of simplify, and simplify is idempotent
+    on the NNF of every quantifier-free corpus row."""
+    for theory in corpus.CORPUS:
+        for entry in corpus.entries(theory):
+            f = parse(entry.text, theory)
+            out = out_formula(qe(theory, f))
+            assert simplify(out) == out, entry.text
+            if is_quantifier_free(f):
+                once = simplify(to_nnf(f))
+                assert simplify(once) == once, entry.text
 
 
 # ---------------------------------------------------------------------------
