@@ -52,6 +52,9 @@ def _parse_window(text: str, theory: Theory) -> Window:
     lo = models.parse_element(parts[0], theory)
     hi = models.parse_element(parts[1], theory)
     denom = int(parts[2]) if len(parts) == 3 else 1
+    pairs = zip(lo, hi) if isinstance(lo, tuple) else [(lo, hi)]
+    if any(a > b for a, b in pairs):
+        raise EvalError(f"window lower end exceeds its upper end in {text!r}")
     return Window(lo, hi, denom)
 
 

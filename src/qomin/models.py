@@ -3,9 +3,13 @@
 Elements are plain Python values: int (PRES_Z/PRES_N), Fraction
 (DLO_PRED/DOAG_Q/DYADIC), (int, Fraction) pairs (LEX_ZQ/TCHAIN) and
 (int, int) pairs (LEX_ZZ), ordered lexicographically where applicable.
-Quantifiers are evaluated by exhaustive search over a finite Window —
-exact only when every relevant witness lies inside the window, which the
-curated corpora guarantee.
+Quantifiers range over a finite Window — exact only when every relevant
+witness lies inside the window, which the curated corpora guarantee.  The
+search for a bound variable bisects the sorted window to the slice that the
+variable's order and equality literals in the quantifier's body allow, and
+evaluates the body at every element of that slice until it decides; the
+elements skipped are ones at which the body cannot change the verdict (see
+compile_eval).
 """
 
 from __future__ import annotations
@@ -388,6 +392,39 @@ def _compile_atom(theory: Theory, atom, L: int) -> Callable[[Assignment], bool]:
 _MISSING = object()
 
 
+def _cuts(v: str, body: Formula, exists: bool) -> list[tuple[Lt, bool, bool]]:
+    """The cuts of the search for v: (atom, rising, suffix) for each order or
+    equality literal on v, possibly negated, among the conjuncts of an E body
+    (the disjuncts of an A body).
+
+    atom is `l < r`, where l - r = n*v + (a term free of v) with n != 0: it is
+    false and then true along the sorted window (rising) when n < 0, true and
+    then false when n > 0.  The search keeps the suffix from (suffix True),
+    or the prefix up to, the first element at which atom == rising: there the
+    literal is true under E and false under A, and at any other element the
+    body cannot stop the search.  `l = r` kept true gives two cuts, `l < r`
+    and `r < l` kept false, that leave its one point; kept false, it gives
+    none.
+    """
+    cuts = []
+    for p in _conjuncts(body) if exists else _disjuncts(body):
+        negated = isinstance(p, Not)
+        lit = p.arg if negated else p
+        keep = exists != negated
+        match lit:
+            case Lt():
+                kept = [(lit, keep)]
+            case Eq(l, r) if keep:
+                kept = [(Lt(l, r), False), (Lt(r, l), False)]
+            case _:
+                continue
+        for atom, want in kept:
+            n = atom.left.coeff(v) - atom.right.coeff(v)
+            if n:
+                cuts.append((atom, n < 0, (n < 0) == want))
+    return cuts
+
+
 def _compile_scaled(theory: Theory, f: Formula, L: int,
                     elems: tuple | None) -> Callable[[Assignment], bool]:
     """Closure over assignments of values scaled by L; quantifiers range over
@@ -436,11 +473,28 @@ def _compile_scaled(theory: Theory, f: Formula, L: int,
                 # E stops at the first element the body holds at, A at the
                 # first one it fails at
                 stop = isinstance(g, Exists)
+                cuts = [(comp(atom), rising, suffix)
+                        for atom, rising, suffix in _cuts(v, body, stop)]
 
                 def search(a: Assignment) -> bool:
                     old = a.get(v, _MISSING)
+                    lo, hi = 0, len(elems)
+                    for atom, rising, suffix in cuts:
+                        # the first index of [lo, hi) at which atom == rising
+                        i, j = lo, hi
+                        while i < j:
+                            mid = (i + j) // 2
+                            a[v] = elems[mid]
+                            if atom(a) == rising:
+                                j = mid
+                            else:
+                                i = mid + 1
+                        if suffix:
+                            lo = i
+                        else:
+                            hi = i
                     result = not stop
-                    for e in elems:
+                    for e in elems[lo:hi]:
                         a[v] = e
                         if inner(a) == stop:
                             result = stop
@@ -459,11 +513,19 @@ def compile_eval(theory: Theory, f: Formula,
                  cap: int | None = None) -> Callable[[Assignment], bool]:
     """Compile a formula to a closure over assignments.
 
-    Quantifiers require a window and search it exhaustively; without a
-    window any quantifier raises EvalError at compile time.
+    Quantifiers require a window; without one any quantifier raises
+    EvalError at compile time.  A quantifier on v searches the slice of the
+    window that the order and equality literals on v among its body's
+    top-level parts allow (the conjuncts under E, the disjuncts under A, an
+    implication counting as a disjunction): each literal, possibly negated,
+    is read at compile time as `t < a*v` or `a*v < t` with a > 0 and t free
+    of v, and bisected over the sorted window.  A positive `a*v = t` leaves
+    at most one element, a negated one narrows nothing, and a body with no
+    such literal leaves the whole window.  The search stops at the first
+    element of the slice at which the body decides it.
 
     The closure is exact, and gives what the plain reading of the formula
-    over the window gives, for two reasons:
+    over the window gives, for three reasons:
 
     - Miniscoping (`miniscope`) only moves parts of a quantifier's body
       that do not mention its variable, and `E v. A & B` has the truth of
@@ -484,6 +546,14 @@ def compile_eval(theory: Theory, f: Formula,
       compiled as doag_q, has D_m over its integer-sort variables).
       Qp(q) holds iff the reduced denominator L/gcd(q*L, L) of q is a
       power of two.
+    - The slice: the window is enumerated in model order, and scaling by L
+      or relifting by L/L0 keeps that order.  The compiled `<` is a group
+      order (lexicographic on pairs), so `t < a*v` with a > 0 is monotone in
+      v and holds on a suffix of the window, `a*v < t` on a prefix, and the
+      bisection finds the boundary exactly.  The elements skipped are those
+      at which a conjunct is false (under E) or a disjunct is true (under A),
+      so the body's value there cannot change the verdict, and the full body
+      is evaluated at every element that is visited.
     """
     f = miniscope(f)
     L0, elems0 = (1, None) if window is None else _scaled_window(theory, window, cap)

@@ -264,6 +264,27 @@ def test_zero_denominator_exits_three(capsys, argv):
     assert err == "qomin: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("argv,window", [
+    (["verify", "--theory", "pres_z", "E u. u = x", "--asg-window", "3,1"], "3,1"),
+    (["eval", "--theory", "pres_z", "E u. u = u", "--window", "4,-4"], "4,-4"),
+    (["eval", "--theory", "lex_zz", "E u. u = u", "--window", "(0,2),(1,1)"],
+     "(0,2),(1,1)"),
+    (["eval", "--theory", "lex_zq", "E u. u = u", "--window", "(1,0),(0,1)"],
+     "(1,0),(0,1)"),
+], ids=["verify-asg-window", "eval-scalar", "eval-pair-second", "eval-pair-first"])
+def test_reversed_window_exits_three(capsys, argv, window):
+    # an empty window would make every E false and every A true
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == f"qomin: window lower end exceeds its upper end in {window!r}\n"
+
+
+def test_single_point_window_is_a_window(capsys):
+    code, out, _ = capture(capsys, ["eval", "--theory", "lex_zq", "E u. u = u",
+                                    "--window", "(0,1),(0,1)"])
+    assert (code, json.loads(out)["value"]) == (0, True)
+
+
 def test_decompose_at_missing_parameter_exits_three(capsys):
     code, out, err = capture(capsys, ["decompose", "--theory", "pres_z", "x < y",
                                       "--var", "x", "--at", "z=1"])

@@ -16,7 +16,7 @@ from qomin.models import (
 )
 from qomin.syntax import (
     And, Bool, Div, Eq, Exists, Forall, Iff, Implies, Lt, Not, Or, Pred, Term,
-    Theory, atoms, free_vars, parse, term_vars,
+    Theory, atoms, free_vars, map_atoms, parse, term_vars,
 )
 
 ZQ = Theory.LEX_ZQ
@@ -384,3 +384,144 @@ def test_scaled_window_is_cached_under_the_enumeration_key():
     assert elems == tuple(int(q * L) for q in enumerate_window(Theory.DLO_PRED, w))
     assert models._scaled_window(Theory.DLO_PRED, w, None)[1] is elems
     assert (Theory.DLO_PRED, w.lo, w.hi, w.denom) in models._SCALED_CACHE
+
+
+# ---------------------------------------------------------------------------
+# The search bisects the sorted window to the slice that a bound variable's
+# order and equality literals allow; it must give the full scan's verdict
+
+
+def _hidden(f):
+    """f with every order and equality atom written as ~~atom: the evaluator
+    reads it identically, but no conjunct or disjunct of a quantifier body is
+    an order or equality literal, so every search scans the whole window."""
+    return map_atoms(f, lambda a: Not(Not(a)) if isinstance(a, (Lt, Eq)) else a)
+
+
+def _cut_searches(f):
+    """How many quantifiers of f have a literal to cut on."""
+    match f:
+        case Exists(v, body) | Forall(v, body):
+            return bool(models._cuts(v, body, isinstance(f, Exists))) + _cut_searches(body)
+        case Not(x):
+            return _cut_searches(x)
+        case And(args) | Or(args):
+            return sum(map(_cut_searches, args))
+        case Implies(l, r) | Iff(l, r):
+            return _cut_searches(l) + _cut_searches(r)
+    return 0
+
+
+def test_cut_search_agrees_with_full_scan_on_every_corpus_point():
+    searches = points = 0
+    for theory in corpus.CORPUS:
+        asg_w, search_w = corpus.windows(theory)
+        elems = enumerate_window(theory, asg_w)
+        for entry in corpus.entries(theory):
+            f = parse(entry.text, theory)
+            searches += _cut_searches(models.miniscope(f))
+            assert _cut_searches(models.miniscope(_hidden(f))) == 0
+            fast = models.compile_eval(theory, f, search_w)
+            full = models.compile_eval(theory, _hidden(f), search_w)
+            fvs = sorted(free_vars(f))
+            for combo in itertools.product(elems, repeat=len(fvs)):
+                asg = dict(zip(fvs, combo))
+                assert fast(asg) == full(asg), (theory.value, entry.text, asg)
+                points += 1
+    assert searches >= 100 and points > 10_000
+
+
+def test_corpus_windows_increase_under_the_compiled_order():
+    """The precondition of the bisection: the scaled window is sorted by the
+    compiled `<`, also when an off-grid assignment relifts it to a larger L."""
+    x_lt_y = Lt(Term.var("x"), Term.var("y"))
+    for theory, pair in corpus.WINDOWS.items():
+        for w in pair:
+            L, elems = models._scaled_window(theory, w, None)
+            for k in (1, 3):
+                lt = models._compile_atom(theory, x_lt_y, L * k)
+                lifted = [models._lift(theory, e, k) for e in elems] if k > 1 else elems
+                assert len(lifted) > 1
+                for a, b in zip(lifted, lifted[1:]):
+                    assert lt({"x": a, "y": b}) and not lt({"x": b, "y": a}), (
+                        theory.value, w, k, a, b)
+
+
+# per theory: group signature, constant symbols, the literals that give no
+# cut, a small search window, an empty one (lo > hi), and assignment points,
+# one of them off the window's grid where the model is dense
+_GEN = {
+    Theory.PRES_Z: (True, ("1",), ("D2({x} + {w})", "D3({x})"),
+                    Window(-6, 6), Window(1, 0), (-4, -1, 0, 2, 5)),
+    Theory.PRES_N: (True, ("1",), ("D2({x} + {w})", "D3({x})"),
+                    Window(0, 8), Window(3, 2), (0, 1, 3, 6)),
+    Theory.DLO_PRED: (False, (), ("Qp({x})",),
+                      Window(Fraction(-2), Fraction(2), 2), Window(Fraction(1), Fraction(0)),
+                      (Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1))),
+    Theory.DOAG_Q: (True, ("1",), ("{x} + {w} < {x} + z",),
+                    Window(Fraction(-2), Fraction(2), 2), Window(Fraction(1), Fraction(0)),
+                    (Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1))),
+    Theory.LEX_ZQ: (True, ("1Z",), ("del0({x} - {w})", "D2({x})"),
+                    Window((-1, Fraction(-1)), (1, Fraction(1)), 2),
+                    Window((1, Fraction(0)), (0, Fraction(0))),
+                    ((-1, Fraction(0)), (0, Fraction(-1, 2)), (0, Fraction(1, 3)), (1, Fraction(1)))),
+    Theory.LEX_ZZ: (True, ("1p", "1pp"), ("D2({x} + {w})", "del0({x} - {w})"),
+                    Window((-1, -2), (1, 2)), Window((0, 1), (0, 0)),
+                    ((-1, 1), (0, -1), (0, 0), (0, 2), (1, -2))),
+    Theory.TCHAIN: (False, (), ("P({x})", "S1({x}, {w})"),
+                    Window((-1, Fraction(-1)), (1, Fraction(1)), 2),
+                    Window((1, Fraction(0)), (0, Fraction(0))),
+                    ((-1, Fraction(0)), (0, Fraction(-1, 2)), (0, Fraction(1, 3)), (1, Fraction(1)))),
+}
+
+
+@st.composite
+def _literal(draw, theory, x, others):
+    group, consts, extras, *_ = _GEN[theory]
+    w = draw(st.sampled_from(others))
+    if draw(st.integers(0, 3)) == 0:
+        text = draw(st.sampled_from(extras)).format(x=x, w=w)
+    else:
+        coeff = st.integers(1, 3) if group else st.just(1)
+        lhs, rhs = f"{draw(coeff)}*{x}", f"{draw(coeff)}*{w}"
+        if consts and draw(st.booleans()):
+            rhs += f" + {draw(st.integers(-2, 2))}*{draw(st.sampled_from(consts))}"
+        op = draw(st.sampled_from(("<", "=")))
+        text = f"{lhs} {op} {rhs}" if draw(st.booleans()) else f"{rhs} {op} {lhs}"
+    return f"~({text})" if draw(st.booleans()) else f"({text})"
+
+
+@st.composite
+def _block(draw, theory, depth, bound=()):
+    """`Q x. body` with up to `depth` nested quantifiers; body joins literals on
+    x (and, at depth 2, the inner block) by &, | or as `(L & ..) -> (L | ..)`."""
+    x = "uv"[len(bound)]
+    others = ("y", "z", *bound)
+    parts = draw(st.lists(_literal(theory, x, others), min_size=1, max_size=3))
+    if depth > 1:
+        parts.insert(draw(st.integers(0, len(parts))),
+                     f"({draw(_block(theory, depth - 1, (*bound, x)))})")
+    q = draw(st.sampled_from("EA"))
+    # mostly the shape whose parts the search can cut on
+    shape = draw(st.sampled_from(("&", "&", "|", "->") if q == "E" else ("|", "->", "&")))
+    if shape == "->" and len(parts) > 1:
+        cut = draw(st.integers(1, len(parts) - 1))
+        body = f"({' & '.join(parts[:cut])}) -> ({' | '.join(parts[cut:])})"
+    else:
+        body = f" {'|' if shape == '|' else '&'} ".join(parts)
+    return f"{q} {x}. {body}"
+
+
+@pytest.mark.parametrize("theory", list(_GEN), ids=lambda t: t.value)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cut_search_agrees_with_full_scan_on_generated_blocks(theory, data):
+    text = data.draw(_block(theory, data.draw(st.integers(1, 2))), label="formula")
+    f = parse(text, theory)
+    *_, window, empty, elems = _GEN[theory]
+    for w in (window, empty):
+        fast = models.compile_eval(theory, f, w)
+        full = models.compile_eval(theory, _hidden(f), w)
+        for y, z in itertools.product(elems, repeat=2):
+            asg = {"y": y, "z": z}
+            assert fast(asg) == full(asg), (text, w, asg)
