@@ -4,11 +4,13 @@ sentence decision."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qomin import corpus, models
 from qomin import qe as qe_module
-from qomin.errors import EvalError, NonSentenceError, UnsupportedTheoryError
+from qomin.errors import (
+    EvalError, NonSentenceError, ResourceCapError, UnsupportedTheoryError,
+)
 from qomin.models import Window
 from qomin.qe import (
     ComponentFormula, decide, eval_component, isolate_x_equality,
@@ -17,7 +19,7 @@ from qomin.qe import (
 )
 from qomin.syntax import (
     And, Div, Eq, Exists, FALSE, Lt, Or, Pred, TRUE, Term, Theory, and_, atoms,
-    free_vars, is_quantifier_free, parse, print_formula, to_nnf, Not,
+    free_vars, is_quantifier_free, map_atoms, parse, print_formula, to_nnf, Not,
 )
 
 Z = Theory.PRES_Z
@@ -441,6 +443,74 @@ def test_tchain_blocks_agree_with_oracle(text):
     T = Theory.TCHAIN
     total, mismatches = oracle_agreement(T, parse(text, T), *TCHAIN_WINDOWS)
     assert total > 0 and not mismatches, text
+
+
+# tchain is the reduct of lex_zq to <, P = D2 and S_n(t, s) = del_n(t - s) |
+# del_n(s - t), so qe over tchain and qe over lex_zq of the image must agree
+# at every point.  Both outputs are quantifier-free, so the comparison over
+# the assignment window is exact.  The image here reads every S_n, S_0
+# included, symmetrically, independent of the engine's own translation.
+def _lex_image(atom):
+    match atom:
+        case Pred("P", _, (t,)):
+            return Div(2, t)
+        case Pred("S", n, (t, s)):
+            return Or((Pred("del", n, (t - s,)), Pred("del", n, (s - t,))))
+    return atom
+
+
+@st.composite
+def _chain_literal(draw, scope):
+    # two distinct variables; the innermost bound one is among them in half
+    # the draws
+    a = scope[0] if draw(st.booleans()) else draw(st.sampled_from(scope))
+    b = draw(st.sampled_from([x for x in scope if x != a]))
+    kind = draw(st.sampled_from(("<", "=", "P", "S")))
+    if kind == "P":
+        text = f"P({a})"
+    elif kind == "S":
+        args = draw(st.sampled_from(((a, b), (b, a))))
+        text = f"S{draw(st.integers(0, 3))}({args[0]}, {args[1]})"
+    else:
+        text = f"{a} {kind} {b}"
+    return f"~({text})" if draw(st.booleans()) else text
+
+
+@st.composite
+def _chain_formula(draw, scope, depth):
+    # a block "Q w. body" of nested depth at most `depth`; the body joins up
+    # to three parts, each a literal or, while depth allows, an inner block.
+    # One <-> per body, joining literals only: <-> copies both sides in both
+    # polarities, and draws with two of them, or with an inner block under
+    # one, spend seconds in lex_zq or reach the DNF cap
+    w = "uvw"[len(scope) - 2]
+    inner = [w, *scope]
+    body, iff_ok = f"({draw(_chain_literal(inner))})", True
+    for _ in range(draw(st.integers(0, 2))):
+        if depth > 1 and draw(st.integers(0, 3)) == 0:
+            part, iff_ok = draw(_chain_formula(inner, depth - 1)), False
+        else:
+            part = draw(_chain_literal(inner))
+        op = draw(st.sampled_from(("&", "|", "->", "<->") if iff_ok else ("&", "|", "->")))
+        iff_ok = iff_ok and op != "<->"
+        body = f"({body} {op} ({part}))"
+    return f"{draw(st.sampled_from('EA'))} {w}. {body}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_chain_formula(["y", "z"], 2))
+def test_tchain_qe_agrees_with_lex_zq_of_its_image(text):
+    T, ZQ = Theory.TCHAIN, Theory.LEX_ZQ
+    f = parse(text, T)
+    try:
+        out_t = qe(T, f)
+        out_l = qe(ZQ, map_atoms(f, _lex_image))
+    except ResourceCapError:
+        assume(False)
+    run_t = qe_module._compile_output(T, out_t)
+    run_l = qe_module._compile_output(ZQ, out_l)
+    for asg in _assignments(T, sorted(free_vars(f)), TCHAIN_WINDOWS[0]):
+        assert run_t(asg) == run_l(asg), (text, asg)
 
 
 # Each engine classifies literals through one routine, which rejects a
