@@ -173,8 +173,10 @@ def _cmd_eval(args, parser) -> int:
     if args.window:
         w = _parse_window(args.window, theory)
         value = models.eval_windowed(theory, f, asg, w, cap=_window_cap())
-    else:
+    elif is_quantifier_free(f):
         value = models.eval_qf(theory, f, asg)
+    else:
+        raise EvalError("formula contains quantifiers; pass --window to search them over a window")
     _emit(args, {"theory": theory.value, "value": value}, [str(value).lower()])
     return 0
 

@@ -6,8 +6,8 @@ innermost-first over DNF.  Variables of integer sort go to Cooper's
 algorithm (divisibility-aware test points over an lcm-normalized variable);
 the others go to the theory's dense engine: scaled Fourier-Motzkin for the
 divisible rational group, which also covers the dense order with predicate
-as its unit-coefficient case, and an instance-level candidate-class
-procedure for the chain-of-classes theory.  The engines share one literal
+as its unit-coefficient case, and, for the chain-of-classes theory, a nested
+elimination in Z x Q, of which it is a reduct.  The engines share one literal
 classifier and one equality pivot; the driver simplifies once per step.
 """
 
@@ -24,7 +24,7 @@ from .errors import (
 from .syntax import (
     And, Bool, Div, Eq, Exists, FALSE, Forall, Formula, Iff, Implies, Lt, Not,
     Or, Pred, Solved, TRUE, Term, Theory, and_, bound_vars, free_vars,
-    fresh_name, or_, solve_for, substitute, to_nnf, validate,
+    fresh_name, map_atoms, or_, solve_for, substitute, to_nnf, validate,
 )
 from . import models
 
@@ -405,105 +405,104 @@ def _doag_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Chain-of-classes theory: dense S_0-classes on a discrete chain with an
-# alternating predicate P
+# alternating predicate P, a reduct of lex_zq
 
 
-def _s(n: int, a: str | Term, b: str | Term) -> Formula:
-    ta = a if isinstance(a, Term) else Term.var(a)
-    tb = b if isinstance(b, Term) else Term.var(b)
-    return Pred("S", n, (ta, tb))
+def _to_lex(atom: Formula) -> Formula:
+    """A tchain atom read in Z x Q."""
+    match atom:
+        case Pred("P", _, (t,)):
+            return Div(2, t)
+        case Pred("S", 0, (t, s)):
+            return Pred("del", 0, (t - s,))
+        case Pred("S", n, (t, s)):
+            return or_(Pred("del", n, (t - s,)), Pred("del", n, (s - t,)))
+    return atom
 
 
-def _sd(w: str, k: int, u: str) -> Formula:
-    """cl(u) = cl(w) + k as a formula."""
-    if k == 0:
-        return _s(0, w, u)
-    if k > 0:
-        return and_(_s(k, w, u), Lt(Term.var(w), Term.var(u)))
-    return and_(_s(-k, w, u), Lt(Term.var(u), Term.var(w)))
+def _form(atom: Lt | Eq) -> tuple[Term, int]:
+    """(p, c) when atom reads p < c or p = c, p the variable part of l - r."""
+    d = atom.left - atom.right
+    return Term(d.coeffs), -dict(d.consts).get("1", 0)
 
 
-def _cl_le_shift(a: str, w: str, m: int) -> Formula:
-    """cl(a) <= cl(w) + m."""
-    if m >= 0:
-        base = or_(Lt(Term.var(a), Term.var(w)), _s(0, a, w))
-        return or_(base, *(_sd(w, d, a) for d in range(1, m + 1)))
-    p = -m
-    below = and_(Lt(Term.var(a), Term.var(w)), Not(_s(0, a, w)))
-    return and_(below, *(Not(_sd(w, -d, a)) for d in range(1, p)))
+def _prune(f: Formula) -> Formula:
+    """f with each And/Or node rid of the atoms that another atom on the same
+    linear form p subsumes: in an And every p < c but the least, in an Or
+    every p < c but the greatest and each p = c (or -p = -c) below it."""
+    if not isinstance(f, (And, Or)):
+        return f
+    args, conj = [_prune(a) for a in f.args], isinstance(f, And)
+    kept: dict[Term, tuple[int, int]] = {}  # p -> (c, position) of the p < c kept
+    for i, a in enumerate(args):
+        if isinstance(a, Lt):
+            p, c = _form(a)
+            if p not in kept or (c < kept[p][0] if conj else c > kept[p][0]):
+                kept[p] = (c, i)
+
+    def stays(i: int, a: Formula) -> bool:
+        if isinstance(a, Lt):
+            return kept[_form(a)[0]][1] == i
+        if isinstance(a, Eq) and not conj:
+            p, c = _form(a)
+            return all(q not in kept or d >= kept[q][0] for q, d in ((p, c), (-p, -c)))
+        return True
+    return (and_ if conj else or_)(*(a for i, a in enumerate(args) if stays(i, a)))
 
 
-def _cl_ge_shift(a: str, w: str, m: int) -> Formula:
-    """cl(a) >= cl(w) + m."""
-    if m <= 0:
-        base = or_(Lt(Term.var(w), Term.var(a)), _s(0, a, w))
-        return or_(base, *(_sd(w, -d, a) for d in range(1, -m + 1)))
-    above = and_(Lt(Term.var(w), Term.var(a)), Not(_s(0, w, a)))
-    return and_(above, *(Not(_sd(w, d, a)) for d in range(1, m)))
+def _from_lex(cf: ComponentFormula) -> Formula:
+    """The tchain reading of a lex_zq output of _tchain_exists (see there); a
+    component atom of any other shape raises EvalError."""
+    orig = {name: v for v, z, s in cf.pairs for name in (z, s)}
+    ints = {z for _, z, _ in cf.pairs}
+
+    def back(atom: Formula) -> Formula:
+        t = atom.arg if isinstance(atom, Div) else atom.left - atom.right
+        plus = [Term.var(orig[n]) for n, k in t.coeffs if k == 1]
+        minus = [Term.var(orig[n]) for n, k in t.coeffs if k == -1]
+        sorts = {n in ints for n, _ in t.coeffs}
+        match atom:
+            case Div(2) if len(t.coeffs) == 1 and plus and sorts == {True}:
+                p = Pred("P", None, (plus[0],))
+                return p if dict(t.consts).get("1", 0) % 2 == 0 else Not(p)
+            case Lt() | Eq() if len(plus) == len(minus) == 1 == len(sorts):
+                (x,), (y,), c = plus, minus, _form(atom)[1]
+                if sorts == {False}:
+                    if c == 0:
+                        return type(atom)(x, y)
+                elif isinstance(atom, Eq):
+                    order = Lt(y, x) if c > 0 else Lt(x, y) if c < 0 else TRUE
+                    return and_(Pred("S", abs(c), (x, y)), order)
+                elif c <= 0:
+                    return and_(Lt(x, y), *(Not(Pred("S", n, (x, y))) for n in range(-c + 1)))
+                else:
+                    return or_(Lt(x, y), *(Pred("S", n, (x, y)) for n in range(c)))
+        raise EvalError(f"no tchain reading of the component atom {atom}")
+
+    return to_nnf(map_atoms(_prune(cf.formula), back))
 
 
 def _tchain_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
-    rest, lower_pairs, upper_pairs, eqs, _, preds = _classify(v, lits, {"P", "S"})
+    """E v over a conjunct of tchain literals, as a reduct of Z x Q: qe over
+    lex_zq eliminates the literals on v, read by _to_lex, and _from_lex reads
+    the component output back, once _prune has dropped subsumed order atoms.
+    - With unit coefficients Cooper's period is at most 2, so every
+      divisibility is D2(x_z + c): P(x), or ~P(x) when c is odd.
+    - x_z - y_z = c is S_|c|(x, y) with the order; x_z - y_z < c is x < y &
+      ~S_0 & ... & ~S_{-c} when c <= 0, x < y | S_0 | ... | S_{c-1} if c >= 1.
+    - x_2 < y_2 and x_2 = y_2 read as x < y and x = y: order automorphisms
+      of Q inside each class preserve <, P and S_n, and so the truth of both
+      formulas and of every other atom read back; they can place the second
+      coordinates of a point in increasing, disjoint ranges class by class,
+      where x_2 < y_2 holds exactly when x < y, and x_2 = y_2 when x = y.
+    An equality on v goes through the shared pivot instead.
+    """
+    rest, lowers, uppers, eqs, _, preds = _classify(v, lits, {"P", "S"})
     if eqs:
         n, s = eqs[0]  # v = w for a variable w, so n = 1
-        return and_(*rest, *_pivot(v, n, s, eqs[1:], lower_pairs, upper_pairs, preds=preds))
-
-    # every term here is one variable: w < v, v < w, S_n(v, w), S_n(w, v);
-    # simplify has folded v < v and S_n(v, v), and dnf drops P(v) & ~P(v)
-    lowers = [t.coeffs[0][0] for _, t in lower_pairs]
-    uppers = [t.coeffs[0][0] for _, t in upper_pairs]
-    pos_s: list[tuple[int, str]] = []
-    neg_s: list[tuple[int, str]] = []
-    parity: str | None = None  # 'even' for P(v), 'odd' for ~P(v)
-    for lit in preds:
-        atom = lit.arg if isinstance(lit, Not) else lit
-        if atom.name == "P":
-            parity = "even" if atom is lit else "odd"
-            continue
-        l, r = atom.args
-        other = (r if l == Term.var(v) else l).coeffs[0][0]
-        (pos_s if atom is lit else neg_s).append((atom.index, other))
-
-    params: list[str] = []
-    for name in lowers + uppers + [u for _, u in pos_s] + [u for _, u in neg_s]:
-        if name not in params:
-            params.append(name)
-
-    if not params:
-        # only parity constraints remain; both parities are realized
-        return and_(*rest)
-
-    reach = max([n for n, _ in pos_s + neg_s], default=0) + 2
-
-    def candidate(w: str, m: int) -> Formula:
-        conds: list[Formula] = []
-        for n, u in pos_s:
-            conds.append(or_(_sd(w, m - n, u), _sd(w, m + n, u)))
-        for n, u in neg_s:
-            conds.append(Not(or_(_sd(w, m - n, u), _sd(w, m + n, u))))
-        if parity is not None:
-            want_same = (m % 2 == 0) == (parity == "even")
-            # parity of the candidate class relative to P(w)
-            conds.append(Pred("P", None, (Term.var(w),)) if want_same else Not(Pred("P", None, (Term.var(w),))))
-        for l in lowers:
-            conds.append(_cl_le_shift(l, w, m))
-        for u in uppers:
-            conds.append(_cl_ge_shift(u, w, m))
-        for l in lowers:
-            for u in uppers:
-                conds.append(or_(Not(_sd(w, m, l)), Not(_sd(w, m, u)), Lt(Term.var(l), Term.var(u))))
-        return and_(*conds)
-
-    branches: list[Formula] = []
-    for w in params:
-        for m in range(-reach, reach + 1):
-            branches.append(candidate(w, m))
-    if not pos_s and not uppers:
-        branches.append(TRUE)  # witnesses arbitrarily far right
-    if not pos_s and not lowers:
-        branches.append(TRUE)  # witnesses arbitrarily far left
-
-    return and_(*rest, to_nnf(or_(*branches)))
+        return and_(*rest, *_pivot(v, n, s, eqs[1:], lowers, uppers, preds=preds))
+    body = map_atoms(and_(*(lit for lit in lits if lit not in rest)), _to_lex)
+    return and_(*rest, _from_lex(qe(Theory.LEX_ZQ, Exists(v, body))))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,14 @@ def test_eval_windowed(capsys):
     assert json.loads(out)["value"] is True
 
 
+def test_eval_quantifier_without_window_names_the_flag(capsys):
+    code, out, err = capture(capsys, ["eval", "--theory", "pres_z", "E u. u = x",
+                                      "--at", "x=1"])
+    assert (code, out) == (3, "")
+    assert err == ("qomin: formula contains quantifiers; pass --window to search "
+                   "them over a window\n")
+
+
 def test_eval_quantifier_free(capsys):
     code, out, _ = capture(capsys, ["eval", "--theory", "lex_zq", "x < y",
                                     "--at", "x=(0,9),y=(1,-9)"])

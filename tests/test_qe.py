@@ -525,6 +525,70 @@ def test_engines_reject_foreign_literals(engine, lit):
         engine("u", (lit,))
 
 
+# The pruning and the read-back of tchain's lex_zq outputs, on component atoms
+_xz, _yz, _wz = Term.var("x_z"), Term.var("y_z"), Term.var("w_z")
+_x2, _y2 = Term.var("x_2"), Term.var("y_2")
+_k = Term.const
+
+
+@pytest.mark.parametrize("f, expected", [
+    # on one linear form an And keeps the least bound, an Or the greatest
+    (And((Lt(_xz, _yz + _k(2)), Lt(_xz, _yz))), Lt(_xz, _yz)),
+    (Or((Lt(_xz, _yz + _k(2)), Lt(_xz, _yz))), Lt(_xz, _yz + _k(2))),
+    (And((Lt(_xz + _k(1), _yz + _k(1)), Lt(_xz, _yz))), Lt(_xz + _k(1), _yz + _k(1))),
+    (And((Or((Lt(_xz, _yz), Lt(_xz, _yz + _k(1)))), Lt(_xz, _yz + _k(3)))),
+     Lt(_xz, _yz + _k(1))),
+    # in an Or, p = c below some p < c' goes, in either orientation
+    (Or((Eq(_xz, _yz + _k(1)), Lt(_xz, _yz + _k(2)))), Lt(_xz, _yz + _k(2))),
+    (Or((Eq(_yz, _xz - _k(1)), Lt(_xz, _yz + _k(2)))), Lt(_xz, _yz + _k(2))),
+    (Or((Eq(_xz, _yz + _k(2)), Lt(_xz, _yz + _k(2)))),
+     Or((Eq(_xz, _yz + _k(2)), Lt(_xz, _yz + _k(2))))),
+    (And((Eq(_xz, _yz + _k(1)), Lt(_xz, _yz + _k(2)))),
+     And((Eq(_xz, _yz + _k(1)), Lt(_xz, _yz + _k(2))))),
+    # other forms, and the two orientations of one difference, stay
+    (Or((Lt(_xz, _yz), Lt(_xz, _wz + _k(1)))), Or((Lt(_xz, _yz), Lt(_xz, _wz + _k(1))))),
+    (Or((Lt(_xz, _yz), Lt(_yz, _xz + _k(1)))), Or((Lt(_xz, _yz), Lt(_yz, _xz + _k(1))))),
+    (And((Lt(_xz, _yz + _k(1)), Lt(_yz, _xz))), And((Lt(_xz, _yz + _k(1)), Lt(_yz, _xz)))),
+    # second-coordinate atoms
+    (Or((Lt(_x2, _y2), Eq(_x2, _y2), Lt(_y2, _x2))), Or((Lt(_x2, _y2), Eq(_x2, _y2), Lt(_y2, _x2)))),
+    (And((Lt(_x2, _y2), Lt(_x2 - _y2, Term.zero()))), Lt(_x2, _y2)),
+])
+def test_prune_table(f, expected):
+    assert qe_module._prune(f) == expected
+
+
+_PAIRS = (("w", "w_z", "w_2"), ("x", "x_z", "x_2"), ("y", "y_z", "y_2"))
+
+
+@pytest.mark.parametrize("atom, expected", [
+    (Div(2, _xz + _k(3)), "~P(x)"),
+    (Not(Div(2, _xz - _k(2))), "~P(x)"),
+    (Eq(_xz, _yz), "S0(x, y)"),
+    (Eq(_xz + _k(2), _yz), "S2(x, y) & x < y"),
+    (Eq(_yz, _xz + _k(2)), "S2(y, x) & x < y"),
+    (Lt(_xz, _yz), "x < y & ~S0(x, y)"),
+    (Lt(_xz + _k(1), _yz), "x < y & ~S0(x, y) & ~S1(x, y)"),
+    (Lt(_xz, _yz + _k(2)), "x < y | S0(x, y) | S1(x, y)"),
+    (Lt(_x2, _y2), "x < y"),
+    (Eq(_y2, _x2), "y = x"),
+])
+def test_from_lex_reading(atom, expected):
+    cf = ComponentFormula(Theory.LEX_ZQ, atom, _PAIRS)
+    assert print_formula(qe_module._from_lex(cf)) == expected
+
+
+@pytest.mark.parametrize("atom", [
+    Div(3, _xz),
+    Lt(_xz + _yz, Term.zero()),
+    Lt(_xz - _yz, _wz),
+    Lt(_xz, _y2),
+    Lt(_x2, _y2 + _k(1)),
+])
+def test_from_lex_rejects_other_shapes(atom):
+    with pytest.raises(EvalError):
+        qe_module._from_lex(ComponentFormula(Theory.LEX_ZQ, atom, _PAIRS))
+
+
 # ---------------------------------------------------------------------------
 # Lexicographic products
 
