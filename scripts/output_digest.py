@@ -3,8 +3,10 @@
 
 Prints the row count, atom total and sha256 of the `qe` outputs over the
 corpus plus the benchmark's generated `eliminate` family (seed 941), and the
-disjunct total and sha256 of the corpus decompositions.  Two trees print the
-same digest exactly when those outputs are byte-identical.  CI compares
+disjunct total and sha256 of the corpus decompositions, and the same for the
+decompositions of a generated grid of lex_zq, lex_zz and tchain atoms in x.
+Two trees print the same digest exactly when those outputs are
+byte-identical.  CI compares
 the two lines with scripts/output_digest.expected; a change that alters an
 output on purpose updates that file in the same commit.
 
@@ -33,6 +35,31 @@ def qe_rows() -> list[tuple[Theory, str]]:
     return list(dict.fromkeys(rows))
 
 
+def grid_rows() -> list[tuple[Theory, str]]:
+    """80 decompose inputs in x: the three order shapes of n*x against y, the
+    coset atoms del_k(n*x + y) and D_m(n*x + y) over both lexicographic
+    products, and S_n in both argument orders over tchain."""
+    rows = []
+    for theory in (Theory.LEX_ZQ, Theory.LEX_ZZ):
+        rows += [(theory, f"{n}*x {op} y") for n in range(1, 5) for op in (">", "<", "=")]
+        rows += [(theory, f"del{k}({n}*x + y)") for n in (1, -1, 2, -2, 3, -3) for k in range(3)]
+        rows += [(theory, f"D{m}({n}*x + y)") for m in (2, 3) for n in range(1, 4)]
+    rows += [(Theory.TCHAIN, f"S{n}({a})") for n in range(4) for a in ("x, y", "y, x")]
+    return rows
+
+
+def decompose_digest(rows: list[tuple[Theory, str, str]]) -> str:
+    """Row count, disjunct total and sha256 of the decompositions' JSON."""
+    digest = hashlib.sha256()
+    disjuncts = 0
+    for theory, text, var in rows:
+        dec = decompose(theory, parse(text, theory), var)
+        disjuncts += len(dec.disjuncts)
+        line = json.dumps([theory.value, text, dec.to_json()], sort_keys=True)
+        digest.update(f"{line}\n".encode())
+    return f"{len(rows)} rows, {disjuncts} disjuncts, sha256 {digest.hexdigest()}"
+
+
 def main() -> int:
     digest = hashlib.sha256()
     total_atoms = 0
@@ -44,18 +71,10 @@ def main() -> int:
         digest.update(f"{theory.value}\t{text}\t{print_formula(f)}\n".encode())
     print(f"qe: {len(rows)} rows, {total_atoms} atoms, sha256 {digest.hexdigest()}")
 
-    digest = hashlib.sha256()
-    count = disjuncts = 0
-    for theory in corpus.CORPUS:
-        for entry in corpus.entries(theory):
-            if entry.dist_var is None:
-                continue
-            dec = decompose(theory, parse(entry.text, theory), entry.dist_var)
-            count += 1
-            disjuncts += len(dec.disjuncts)
-            line = json.dumps([theory.value, entry.text, dec.to_json()], sort_keys=True)
-            digest.update(f"{line}\n".encode())
-    print(f"decompose: {count} rows, {disjuncts} disjuncts, sha256 {digest.hexdigest()}")
+    corpus_rows = [(t, e.text, e.dist_var) for t in corpus.CORPUS
+                   for e in corpus.entries(t) if e.dist_var is not None]
+    print(f"decompose: {decompose_digest(corpus_rows)}")
+    print(f"decompose grid: {decompose_digest([(t, text, 'x') for t, text in grid_rows()])}")
     return 0
 
 

@@ -379,3 +379,27 @@ def test_verify_tchain_distance():
     assert rep.passed
     zs = witnesses(T, dec, ((0, Fraction(0)),))
     assert set(zs) == {(-2, Fraction(0)), (0, Fraction(0)), (2, Fraction(0))}
+
+
+# A subset of the generated decompose grid of scripts/output_digest.py: the
+# three-case forms for n up to 3, the coset atoms del_k(n*x + y) for both
+# signs of n, D_m(n*x + y), and S_n in both argument orders.
+_GRID = (
+    [(ZQ, f"{n}*x {op} y") for n in (2, 3) for op in (">", "<")]
+    + [(ZQ, f"del{k}({n}*x + y)") for n in (-3, 2) for k in range(3)]
+    + [(ZQ, "D3(2*x + y)"), (ZZ, "3*x > y"), (ZZ, "2*x < y"), (ZZ, "del1(x + y)"),
+       (ZZ, "del2(-1*x + y)"), (ZZ, "del1(2*x + y)"), (ZZ, "D3(2*x + y)")]
+    + [(T, f"S{n}({a})") for n in range(4) for a in ("x, y", "y, x")]
+)
+
+
+@pytest.mark.parametrize("theory,text", _GRID, ids=[f"{t.value}-{s}" for t, s in _GRID])
+def test_decompose_grid_verifies(theory, text):
+    """Exact with the corpus windows: theta's quantifiers search the search
+    window, x and the parameter range over the assignment window."""
+    asg_w, search_w = corpus.windows(theory)
+    theta = parse(text, theory)
+    dec = decompose(theory, theta, "x")
+    for a in enumerate_window(theory, asg_w)[::7]:
+        rep = verify_decomposition(theory, theta, dec, (a,), search_w, scan_window=asg_w)
+        assert rep.passed, (a, rep.mismatches[:2])
