@@ -5,13 +5,13 @@ the one-variable interval decomposition over the divisible rational group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvalError, QominError, UnsupportedTheoryError, WindowCapError
 from . import models
 from .models import Element, Window
-from .normal_form import Decomposition, decompose, witnesses
+from .normal_form import decompose
 from .qe import ComponentFormula, qe, simplify
 from .syntax import (
     Div, Eq, Formula, Solved, Term, Theory, atoms, free_vars, or_, print_formula,
@@ -167,7 +167,7 @@ def eventual_classes(theory: Theory, theta: Formula, params: list, direction: st
 
     groups: dict[frozenset, list] = {}
     for abar in params:
-        asg = dict(zip(dec.params, abar))
+        asg = dec.assignment(abar)
         active = set()
         for i, d in enumerate(dec.disjuncts):
             if not all(op == eventual_op for op, _ in d.rho):
@@ -186,7 +186,7 @@ def eventual_classes(theory: Theory, theta: Formula, params: list, direction: st
     theta_fn = models.compile_eval(theory, theta, w)
     vectors = {}
     for abar in params:
-        asg = dict(zip(dec.params, abar))
+        asg = dec.assignment(abar)
         vectors[abar] = [theta_fn({**asg, var: x}) for x in xs]
     same_ok = True
     collisions = []

@@ -276,9 +276,10 @@ def _cmd_cuts(args, parser) -> int:
         payload["contains"] = [analyzer.cut_contains(c, x) for c in cuts]
         lines.append(f"membership of {models.format_element(x)}: {payload['contains']}")
     if args.subset:
-        a1, a2 = _split_top(args.subset, ";")
-        c1 = analyzer.Cut(theory, n, models.parse_element(a1, theory))
-        c2 = analyzer.Cut(theory, n, models.parse_element(a2, theory))
+        bounds = _split_top(args.subset, ";")
+        if len(bounds) != 2:
+            raise EvalError(f"--subset takes two bounds 'a1;a2', got {args.subset!r}")
+        c1, c2 = (analyzer.Cut(theory, n, models.parse_element(b, theory)) for b in bounds)
         payload["subset"] = analyzer.cut_subset(c1, c2)
         lines.append(f"subset: {payload['subset']}")
     if not lines:

@@ -16,6 +16,7 @@ the three-case rewriting of n*x > a) and for the chain-of-classes model
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -188,7 +189,7 @@ def _div_split_second(m: int, x: str, y: str) -> Formula:
     for i in range(m):
         xw = Term.var(x) + Term.var(w, m)
         yz = Term.var(y) + Term.var(z, m)
-        phi = Exists(w, and_(_del_atom(0, xw), Div(m, xw + one_p.scale(i)) if i else Div(m, xw)))
+        phi = Exists(w, and_(_del_atom(0, xw), Div(m, xw + one_p.scale(i))))
         psi = Exists(z, and_(_del_atom(0, yz), Div(m, yz + one_p.scale(m - i))))
         branches.append(And((phi, psi)))
     return Or(tuple(branches))
@@ -208,14 +209,19 @@ class InequalityForm:
 
     def formula(self, theory: Theory, x: str = "x",
                 d_var: str = "zd", e_var: str = "ze") -> Formula:
-        xe = Lt(Term.var(e_var), Term.var(x))
-        xd = Lt(Term.var(d_var), Term.var(x))
-        if self.form == 1:
-            return xe
-        par = parity_predicate(theory, x)
-        if self.form == 2:
-            return or_(and_(Not(par), xe), xd)
-        return or_(and_(par, xe), xd)
+        return _three_case(theory, self.form, x, Term.var(e_var), Term.var(d_var))
+
+
+def _three_case(theory: Theory, form: int, x: str, e: Term, d: Term) -> Formula:
+    """Form 1 is x > e.  Form 2 is x > e off the index-two subgroup, or
+    x > d; form 3 is the same with x > e on the subgroup."""
+    above_e = Lt(e, Term.var(x))
+    if form == 1:
+        return above_e
+    par = parity_predicate(theory, x)
+    if form == 2:
+        par = Not(par)
+    return or_(and_(par, above_e), Lt(d, Term.var(x)))
 
 
 def parity_predicate(theory: Theory, x: str = "x") -> Formula:
@@ -264,13 +270,10 @@ class SnDecomposition:
         return dict(self.witnesses)
 
 
-def _s0_branch(x: str, even: bool, lo: str, hi: str) -> Formula:
+def _s0_branch(x: str, even: bool, lo: Term, hi: Term) -> Formula:
+    """The S_0 class of x between lo and hi: its P-part, or the complement."""
     px = Pred("P", None, (Term.var(x),))
-    return and_(
-        px if even else Not(px),
-        Lt(Term.var(lo), Term.var(x)),
-        Lt(Term.var(x), Term.var(hi)),
-    )
+    return and_(px if even else Not(px), Lt(lo, Term.var(x)), Lt(Term.var(x), hi))
 
 
 def sn_decompose(a: Element, n: int, x: str = "x") -> SnDecomposition:
@@ -282,7 +285,7 @@ def sn_decompose(a: Element, n: int, x: str = "x") -> SnDecomposition:
     a1, alpha = a
     if n == 0:
         wit = (("zb", (a1 - 1, alpha)), ("zc", (a1 + 1, alpha)))
-        return SnDecomposition(_s0_branch(x, a1 % 2 == 0, "zb", "zc"), wit)
+        return SnDecomposition(_s0_branch(x, a1 % 2 == 0, Term.var("zb"), Term.var("zc")), wit)
     even = (a1 - n) % 2 == 0  # both shifted classes share this parity
     wit = (
         ("zbd", (a1 - n - 1, alpha)),
@@ -290,7 +293,10 @@ def sn_decompose(a: Element, n: int, x: str = "x") -> SnDecomposition:
         ("zbe", (a1 + n - 1, alpha)),
         ("zce", (a1 + n + 1, alpha)),
     )
-    f = or_(_s0_branch(x, even, "zbd", "zcd"), _s0_branch(x, even, "zbe", "zce"))
+    f = or_(
+        _s0_branch(x, even, Term.var("zbd"), Term.var("zcd")),
+        _s0_branch(x, even, Term.var("zbe"), Term.var("zce")),
+    )
     return SnDecomposition(f, wit)
 
 
@@ -363,6 +369,12 @@ class Decomposition:
     params: tuple[str, ...]
     disjuncts: list[Disjunct]
     witnesses: list[WitnessSpec]
+
+    def assignment(self, abar: tuple[Element, ...]) -> dict[str, Element]:
+        """The parameters bound to abar, which gives one value for each."""
+        if len(abar) != len(self.params):
+            raise EvalError(f"expected {len(self.params)} parameter values, got {len(abar)}")
+        return dict(zip(self.params, abar))
 
     def check_shape(self) -> None:
         """Purely syntactic conformance: rho atoms in the three allowed
@@ -461,6 +473,10 @@ class _Registry:
     def name(self, j: int) -> str:
         return f"{self.base}{j + 1}"
 
+    def var(self, spec: WitnessSpec) -> Term:
+        """Register spec, once, and return the variable that stands for it."""
+        return Term.var(self.name(self.add(spec)))
+
     def names(self) -> dict[str, int]:
         return {self.name(j): j for j in range(len(self.specs))}
 
@@ -505,7 +521,7 @@ def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
     g = map_atoms(qf, maybe_replace)
     g = simplify(to_nnf(g))
 
-    rho_names = {reg.name(j): j for j in range(len(reg.specs))}
+    rho_names = reg.names()
     # DNF conjuncts share literals; each is classified once
     rho_of = functools.cache(lambda lit: _rho_of(lit, x, rho_names))
 
@@ -555,42 +571,26 @@ def _rho_of(lit: Formula, x: str, rho_names: dict[str, int]) -> RhoAtom:
 # --- per-theory atom replacement -------------------------------------------
 
 
-def _rho_eq(x: str, reg: _Registry, spec: WitnessSpec) -> Formula:
-    return Eq(Term.var(x), Term.var(reg.name(reg.add(spec))))
-
-
-def _rho_below(x: str, reg: _Registry, spec: WitnessSpec) -> Formula:
-    return Lt(Term.var(x), Term.var(reg.name(reg.add(spec))))
-
-
-def _rho_above(x: str, reg: _Registry, spec: WitnessSpec) -> Formula:
-    return Lt(Term.var(reg.name(reg.add(spec))), Term.var(x))
-
-
 def _unary_div_residues(m: int, n: int, shift: Term, x: str) -> Formula:
     """D_m(n*x + shift) with constant shift, as a disjunction of unit-
     coefficient coset atoms D_m(x - j)."""
     c = dict(shift.consts).get("1", 0)
-    branches = [
-        Div(m, Term.var(x) - Term.const(j)) if j else Div(m, Term.var(x))
-        for j in range(m)
-        if (n * j + c) % m == 0
-    ]
+    branches = [Div(m, Term.var(x) - Term.const(j)) for j in range(m) if (n * j + c) % m == 0]
     return or_(*branches)
 
 
 def _replace_pres(s, x: str, reg: _Registry) -> Formula:
     match s:
         case Solved("eq", 1, t):
-            return _rho_eq(x, reg, TermWitness(t))
+            return Eq(Term.var(x), reg.var(TermWitness(t)))
         case Solved("eq", n, t):
-            return and_(Div(n, t), _rho_eq(x, reg, TermWitness(t, n, floor=True)))
+            return and_(Div(n, t), Eq(Term.var(x), reg.var(TermWitness(t, n, floor=True))))
         case Solved("upper", n, t):
             # n*x < t: x < floor((t - 1 + n)/n)
-            return _rho_below(x, reg, TermWitness(t + Term.const(n - 1), n, floor=True))
+            return Lt(Term.var(x), reg.var(TermWitness(t + Term.const(n - 1), n, floor=True)))
         case Solved("lower", n, t):
             # t < n*x: floor(t/n) < x
-            return _rho_above(x, reg, TermWitness(t, n, floor=True))
+            return Lt(reg.var(TermWitness(t, n, floor=True)), Term.var(x))
         case Solved("div", n, t, m):
             if not t.variables():
                 return _unary_div_residues(m, n, t, x)
@@ -613,11 +613,11 @@ def _replace_dlo(a, x: str, reg: _Registry) -> Formula:
 def _replace_doag(s, x: str, reg: _Registry) -> Formula:
     match s:
         case Solved("eq", n, t):
-            return _rho_eq(x, reg, TermWitness(t, n))
+            return Eq(Term.var(x), reg.var(TermWitness(t, n)))
         case Solved("upper", n, t):
-            return _rho_below(x, reg, TermWitness(t, n))
+            return Lt(Term.var(x), reg.var(TermWitness(t, n)))
         case Solved("lower", n, t):
-            return _rho_above(x, reg, TermWitness(t, n))
+            return Lt(reg.var(TermWitness(t, n)), Term.var(x))
     raise DecompositionError(f"unsupported order atom {s}")
 
 
@@ -634,31 +634,20 @@ def _shift_witness(u: str, delta_first: int) -> ProcedureWitness:
 
 
 def _replace_tchain(a, x: str, reg: _Registry) -> Formula:
-    xt = Term.var(x)
     match a:
         case Pred("P", _, _):
             return a
         case Pred("S", n, (l, r)):
-            u = (r if l == xt else l).coeffs[0][0]
+            # the S_0 class intervals of sn_decompose around the classes n
+            # away from u's; P(x) agrees with P(u) exactly when n is even
+            u = (r if l == Term.var(x) else l).coeffs[0][0]
             pu = Pred("P", None, (Term.var(u),))
-            px = Pred("P", None, (xt,))
-            if n == 0:
-                lo = reg.name(reg.add(_shift_witness(u, -1)))
-                hi = reg.name(reg.add(_shift_witness(u, +1)))
-                inside = and_(Lt(Term.var(lo), xt), Lt(xt, Term.var(hi)))
-                return or_(and_(pu, px, inside), and_(Not(pu), Not(px), inside))
-            flip = n % 2 == 1
             branches = []
-            for shift in (-n, +n):
-                lo = reg.name(reg.add(_shift_witness(u, shift - 1)))
-                hi = reg.name(reg.add(_shift_witness(u, shift + 1)))
-                inside = and_(Lt(Term.var(lo), xt), Lt(xt, Term.var(hi)))
-                if flip:
-                    branches.append(and_(pu, Not(px), inside))
-                    branches.append(and_(Not(pu), px, inside))
-                else:
-                    branches.append(and_(pu, px, inside))
-                    branches.append(and_(Not(pu), Not(px), inside))
+            for shift in (0,) if n == 0 else (-n, n):
+                lo = reg.var(_shift_witness(u, shift - 1))
+                hi = reg.var(_shift_witness(u, shift + 1))
+                branches.append(and_(pu, _s0_branch(x, n % 2 == 0, lo, hi)))
+                branches.append(and_(Not(pu), _s0_branch(x, n % 2 == 1, lo, hi)))
             return or_(*branches)
     return _replace_doag(a, x, reg)
 
@@ -673,7 +662,7 @@ def _first_resid_sel(theory: Theory, t: Term, r: int, modulus: int) -> Formula:
     sym, _ = _unit_first(theory)
     r %= modulus
     if theory == Theory.LEX_ZQ:
-        return Div(modulus, t - Term.const(r, sym)) if r else Div(modulus, t)
+        return Div(modulus, t - Term.const(r, sym))
     branches = []
     for s in range(modulus):
         shift = Term.const(r, sym) + Term.const(s, "1p")
@@ -682,54 +671,35 @@ def _first_resid_sel(theory: Theory, t: Term, r: int, modulus: int) -> Formula:
     return or_(*branches)
 
 
-def _lex_gt_witnesses(theory: Theory, n: int, s: Term, reg: _Registry) -> tuple[str, str]:
+def _lex_gt(theory: Theory, n: int, s: Term, x: str, reg: _Registry) -> Formula:
+    """Replacement for s < n*x over a lexicographic product: the form of
+    inequality_form that the first coordinate of s modulo 2n selects."""
     sname = str(s)
 
-    def make(which: str):
-        def recipe(asg: dict[str, Element], _which=which) -> Element:
-            a = models.eval_term(theory, s, asg)
-            form = inequality_form(theory, n, a)
-            if _which == "e":
+    def bound(which: str) -> Term:
+        def recipe(asg: dict[str, Element]) -> Element:
+            form = inequality_form(theory, n, models.eval_term(theory, s, asg))
+            if which == "e":
                 return form.e
             return form.d if form.d is not None else models.zero_element(theory)
-        return recipe
+        return reg.var(ProcedureWitness(
+            name=f"gt_{which}(n={n}, t={sname})",
+            description=f"bound {which} of the three-case form for {n}*{{x}} > {sname}",
+            recipe=recipe,
+        ))
 
-    ze = reg.name(reg.add(ProcedureWitness(
-        name=f"gt_e(n={n}, t={sname})",
-        description=f"bound e of the three-case form for {n}*{{x}} > {sname}",
-        recipe=make("e"),
-    )))
-    zd = reg.name(reg.add(ProcedureWitness(
-        name=f"gt_d(n={n}, t={sname})",
-        description=f"bound d of the three-case form for {n}*{{x}} > {sname}",
-        recipe=make("d"),
-    )))
-    return ze, zd
-
-
-def _lex_gt(theory: Theory, n: int, s: Term, x: str, reg: _Registry) -> Formula:
-    """Replacement for s < n*x over a lexicographic product."""
-    ze, zd = _lex_gt_witnesses(theory, n, s, reg)
-    above_e = Lt(Term.var(ze), Term.var(x))
-    above_d = Lt(Term.var(zd), Term.var(x))
-    if n == 1:
-        sel0: Formula = TRUE
-    else:
-        sel0 = _first_resid_sel(theory, s, 0, n)
-    branches = [and_(sel0, above_e)]
-    if n >= 2:
-        par = parity_predicate(theory, x)
-        sel_even = or_(*(_first_resid_sel(theory, s, i, 2 * n) for i in range(1, n)))
-        sel_odd = or_(*(_first_resid_sel(theory, s, i + n, 2 * n) for i in range(1, n)))
-        branches.append(and_(sel_even, or_(and_(Not(par), above_e), above_d)))
-        branches.append(and_(sel_odd, or_(and_(par, above_e), above_d)))
+    ze, zd = bound("e"), bound("d")
+    branches = [and_(_first_resid_sel(theory, s, 0, n), _three_case(theory, 1, x, ze, zd))]
+    for form, offset in ((2, 0), (3, n)):
+        sel = or_(*(_first_resid_sel(theory, s, i + offset, 2 * n) for i in range(1, n)))
+        branches.append(and_(sel, _three_case(theory, form, x, ze, zd)))
     return or_(*branches)
 
 
 def _lex_eq(theory: Theory, n: int, s: Term, x: str, reg: _Registry) -> Formula:
     """Replacement for n*x = s."""
     if n == 1:
-        return _rho_eq(x, reg, TermWitness(s))
+        return Eq(Term.var(x), reg.var(TermWitness(s)))
     sname = str(s)
 
     def recipe(asg: dict[str, Element]) -> Element:
@@ -749,68 +719,48 @@ def _lex_eq(theory: Theory, n: int, s: Term, x: str, reg: _Registry) -> Formula:
         description=f"the unique solution of {n}*{{x}} = {sname} when it exists",
         recipe=recipe,
     )
-    return and_(guard, _rho_eq(x, reg, spec))
-
-
-def _coset_side_witnesses(theory: Theory, n: int, t: Term, k: int, side: int,
-                          reg: _Registry) -> tuple[str, str]:
-    """Witnesses e = (j + side - 1, 0) and d = e + first-unit for the coset
-    threshold trick, where j = (k - first(t))/n."""
-    tname = str(t)
-    zero2 = _second_zero(theory)
-
-    def make(offset: int):
-        def recipe(asg: dict[str, Element], _off=offset) -> Element:
-            v = models.eval_term(theory, t, asg)
-            num = k - v[0]
-            if num % n:
-                return models.zero_element(theory)
-            j = num // n
-            return (j + _off, zero2)
-        return recipe
-
-    ze = reg.name(reg.add(ProcedureWitness(
-        name=f"coset_edge(k={k}, n={n}, t={tname}, off={side - 1})",
-        description=f"representative of the coset below/at the del-shifted class (offset {side - 1})",
-        recipe=make(side - 1),
-    )))
-    zd = reg.name(reg.add(ProcedureWitness(
-        name=f"coset_edge(k={k}, n={n}, t={tname}, off={side})",
-        description=f"representative one class above (offset {side})",
-        recipe=make(side),
-    )))
-    return ze, zd
+    return and_(guard, Eq(Term.var(x), reg.var(spec)))
 
 
 def _lex_gt_coset(theory: Theory, n: int, t: Term, k: int, side: int,
                   x: str, reg: _Registry) -> Formula:
-    """x lies above the coset with first coordinate j + side - 1 + 1 ...
-    i.e. the 'x > C + b' pattern with b = (j + side - 1, 0), where
-    j = (k - first(t))/n."""
-    ze, zd = _coset_side_witnesses(theory, n, t, k, side, reg)
-    above_e = Lt(Term.var(ze), Term.var(x))
-    above_d = Lt(Term.var(zd), Term.var(x))
-    par = parity_predicate(theory, x)
+    """x lies above the coset with first coordinate j + side - 1, where
+    j = (k - first(t))/n: the three-case form with e = (j + side - 1, 0) and
+    d = e + first-unit, selected by the first coordinate of t modulo 2|n|."""
+    tname = str(t)
+    zero2 = _second_zero(theory)
+
+    def edge(offset: int, description: str) -> Term:
+        def recipe(asg: dict[str, Element]) -> Element:
+            num = k - models.eval_term(theory, t, asg)[0]
+            if num % n:
+                return models.zero_element(theory)
+            return (num // n + offset, zero2)
+        return reg.var(ProcedureWitness(
+            name=f"coset_edge(k={k}, n={n}, t={tname}, off={offset})",
+            description=description,
+            recipe=recipe,
+        ))
+
+    ze = edge(side - 1, "representative of the coset below/at the del-shifted class "
+                        f"(offset {side - 1})")
+    zd = edge(side, f"representative one class above (offset {side})")
     M = abs(n)
-    sel_even_rs = []
-    sel_odd_rs = []
+    residues: dict[int, list[int]] = {2: [], 3: []}
     for r in range(2 * M):
-        if (k - r) % M:
-            continue
-        j = (k - r) // n  # parity is invariant modulo 2M shifts of first(t)
-        if (j + side - 1) % 2 == 0:
-            sel_even_rs.append(r)
-        else:
-            sel_odd_rs.append(r)
-    sel_even = or_(*(_first_resid_sel(theory, t, r, 2 * M) for r in sel_even_rs))
-    sel_odd = or_(*(_first_resid_sel(theory, t, r, 2 * M) for r in sel_odd_rs))
-    return or_(
-        and_(sel_even, or_(and_(Not(par), above_e), above_d)),
-        and_(sel_odd, or_(and_(par, above_e), above_d)),
-    )
+        if (k - r) % M == 0:
+            j = (k - r) // n  # parity is invariant modulo 2M shifts of first(t)
+            residues[2 if (j + side - 1) % 2 == 0 else 3].append(r)
+    branches = []
+    for form, rs in residues.items():
+        sel = or_(*(_first_resid_sel(theory, t, r, 2 * M) for r in rs))
+        branches.append(and_(sel, _three_case(theory, form, x, ze, zd)))
+    return or_(*branches)
 
 
 def _replace_lex(theory: Theory):
+    units = ("1Z",) if theory == Theory.LEX_ZQ else ("1pp", "1p")
+
     def replace(a, x: str, reg: _Registry) -> Formula:
         match a:
             case Solved("eq", n, t):
@@ -824,29 +774,20 @@ def _replace_lex(theory: Theory):
                     to_nnf(Not(_lex_eq(theory, n, t, x, reg))),
                 )
             case Solved("div", n, t, m):
-                sym, _ = _unit_first(theory)
+                # x in the coset j of the units modulo m, t in the coset -n*j
                 branches = []
-                if theory == Theory.LEX_ZQ:
-                    for j in range(m):
-                        coset = Div(m, Term.var(x) - Term.const(j, sym)) if j else Div(m, Term.var(x))
-                        branches.append(and_(coset, _first_resid_sel(theory, t, (-n * j) % m, m)))
-                else:
-                    for j1 in range(m):
-                        for j2 in range(m):
-                            shift = Term.const(j1, "1pp") + Term.const(j2, "1p")
-                            coset = Div(m, Term.var(x) - shift) if (j1 or j2) else Div(m, Term.var(x))
-                            sel_shift = Term.const((-n * j1) % m, "1pp") + Term.const((-n * j2) % m, "1p")
-                            branches.append(and_(coset, Div(m, t - sel_shift) if ((-n * j1) % m or (-n * j2) % m) else Div(m, t)))
+                for js in itertools.product(range(m), repeat=len(units)):
+                    coset = Term.make({}, dict(zip(units, js)))
+                    sel = Term.make({}, {u: (-n * j) % m for u, j in zip(units, js)})
+                    branches.append(and_(Div(m, Term.var(x) - coset), Div(m, t - sel)))
                 return or_(*branches)
             case Pred("del", k, (arg,)):
                 # signed: del_k(-t) is not del_k(t)
                 n, t = arg.coeff(x), arg.drop_var(x)
-                if not t.variables():
-                    # constant shift: still a unary coset atom about x
-                    if n == 1:
-                        return Pred("del", k, (arg,))
+                if n == 1 and not t.variables():
+                    return a  # constant shift: still a unary coset atom about x
                 M = abs(n)
-                sel = _first_resid_sel(theory, t, k % M, M) if M > 1 else TRUE
+                sel = _first_resid_sel(theory, t, k % M, M)
                 lower = _lex_gt_coset(theory, n, t, k, 0, x, reg)
                 upper = _lex_gt_coset(theory, n, t, k, 1, x, reg)
                 return and_(sel, lower, to_nnf(Not(upper)))
@@ -872,9 +813,7 @@ _REPLACERS = {
 
 def witnesses(theory: Theory, dec: Decomposition, abar: tuple[Element, ...]) -> tuple[Element, ...]:
     """Concrete witness tuple for a parameter tuple."""
-    if len(abar) != len(dec.params):
-        raise EvalError(f"expected {len(dec.params)} parameter values, got {len(abar)}")
-    asg = dict(zip(dec.params, abar))
+    asg = dec.assignment(abar)
     return tuple(evaluate_witness(theory, spec, asg) for spec in dec.witnesses)
 
 
@@ -926,7 +865,7 @@ def verify_decomposition(theory: Theory, theta: Formula, dec: Decomposition,
     same window but may come from a coarser scan_window so that the finite
     oracle stays exact (witnesses for points at the fine window's own
     granularity would need denominators beyond it)."""
-    asg = dict(zip(dec.params, abar))
+    asg = dec.assignment(abar)
     zvals = witnesses(theory, dec, abar)
     psi_vals = [models.eval_windowed(theory, d.psi, asg, w) for d in dec.disjuncts]
     phi_fns = [models.compile_eval(theory, d.phi) for d in dec.disjuncts]

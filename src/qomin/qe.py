@@ -531,7 +531,7 @@ def _split_names(variables, taken: set[str]) -> dict[str, tuple[str, str]]:
     return out
 
 
-def _split_term(theory: Theory, t: Term, names: dict[str, tuple[str, str]]) -> tuple[Term, Term]:
+def _split_term(t: Term, names: dict[str, tuple[str, str]]) -> tuple[Term, Term]:
     zc: dict[str, int] = {}
     sc: dict[str, int] = {}
     for v, c in t.coeffs:
@@ -564,20 +564,20 @@ def lex_split(theory: Theory, f: Formula) -> ComponentFormula:
     def split_atom(a) -> Formula:
         match a:
             case Eq(l, r):
-                lz, ls = _split_term(theory, l, names)
-                rz, rs = _split_term(theory, r, names)
+                lz, ls = _split_term(l, names)
+                rz, rs = _split_term(r, names)
                 return and_(Eq(lz, rz), Eq(ls, rs))
             case Lt(l, r):
-                lz, ls = _split_term(theory, l, names)
-                rz, rs = _split_term(theory, r, names)
+                lz, ls = _split_term(l, names)
+                rz, rs = _split_term(r, names)
                 return or_(Lt(lz, rz), and_(Eq(lz, rz), Lt(ls, rs)))
             case Div(m, t):
-                tz, ts = _split_term(theory, t, names)
+                tz, ts = _split_term(t, names)
                 if theory == Theory.LEX_ZQ:
                     return Div(m, tz)
                 return and_(Div(m, tz), Div(m, ts))
             case Pred("del", k, (t,)):
-                tz, _ = _split_term(theory, t, names)
+                tz, _ = _split_term(t, names)
                 return Eq(tz, Term.const(k))
         raise EvalError(f"cannot split atom {a!r}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .errors import ParseError, SignatureError
@@ -838,7 +838,7 @@ class _Parser:
             self.expect("(")
             t = self.term()
             self.expect(")")
-            return self._pred(val, None, (t,), pos)
+            return self._pred(val, None, (t,))
         m = re.fullmatch(r"D(\d+)", val)
         if m:
             self.next()
@@ -859,17 +859,17 @@ class _Parser:
             self.expect(",")
             t2 = self.term()
             self.expect(")")
-            return self._pred("S", int(m.group(1)), (t1, t2), pos)
+            return self._pred("S", int(m.group(1)), (t1, t2))
         m = re.fullmatch(r"del(\d+)", val)
         if m:
             self.next()
             self.expect("(")
             t = self.term()
             self.expect(")")
-            return self._pred("del", int(m.group(1)), (t,), pos)
+            return self._pred("del", int(m.group(1)), (t,))
         return None
 
-    def _pred(self, name: str, idx: int | None, args: tuple[Term, ...], pos: int) -> Pred:
+    def _pred(self, name: str, idx: int | None, args: tuple[Term, ...]) -> Pred:
         if name not in _SIGNATURE[self.theory]["preds"]:
             raise SignatureError(f"predicate {name!r} not in the {self.theory.value} signature")
         return Pred(name, idx, args)
@@ -909,10 +909,10 @@ class _Parser:
             if self.peek()[1] == "*":
                 self.next()
                 return self.summand().scale(n)
-            return self._numeral(n, pos)
+            return self._numeral(n)
         if kind in ("lcz", "lcp", "lcpp"):
             self.next()
-            return self._const_symbol(val, pos)
+            return self._const_symbol(val)
         if kind == "name":
             if not _VAR_RE.fullmatch(val) or val in _RESERVED:
                 raise ParseError(f"bad variable name {val!r}", pos)
@@ -920,7 +920,7 @@ class _Parser:
             return Term.var(val)
         raise ParseError(f"expected a term, found {val!r}", pos)
 
-    def _numeral(self, n: int, pos: int) -> Term:
+    def _numeral(self, n: int) -> Term:
         if n == 0:
             return Term.zero()
         if "1" not in _SIGNATURE[self.theory]["consts"]:
@@ -929,7 +929,7 @@ class _Parser:
             )
         return Term.const(n, "1")
 
-    def _const_symbol(self, sym: str, pos: int) -> Term:
+    def _const_symbol(self, sym: str) -> Term:
         if sym not in _SIGNATURE[self.theory]["consts"]:
             raise SignatureError(f"constant {sym!r} not in the {self.theory.value} signature")
         return Term.const(1, sym)

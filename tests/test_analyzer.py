@@ -11,7 +11,7 @@ from qomin.analyzer import (
     Cut, NEG, POS, cut_contains, cut_subset, density_check, eventual_classes,
     eventually_equal, lemma3_check, maximal_cut_excluding, one_var_intervals,
 )
-from qomin.errors import QominError, WindowCapError
+from qomin.errors import EvalError, QominError, WindowCapError
 from qomin.models import Window, enumerate_window
 from qomin.syntax import Theory, parse
 
@@ -75,6 +75,14 @@ def test_classes_partition_is_equivalence():
     rep = eventual_classes(Z, parse("D4(x - y)", Z), params, POS, Window(-36, 36))
     seen = [t for c in rep.classes for t in c.members]
     assert sorted(seen) == sorted(params)
+
+
+@pytest.mark.parametrize("params", [[(1, 2), (3, 4)], [(1,), ()]])
+def test_classes_reject_wrong_parameter_count(params):
+    """x < y has the one parameter y: a tuple of another length is refused,
+    not truncated or padded."""
+    with pytest.raises(EvalError, match="expected 1 parameter values, got"):
+        eventual_classes(Z, parse("x < y", Z), params, POS, Window(-30, 30))
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,13 @@ def test_classes_verb(capsys):
     assert json.loads(out)["class_count"] == 3
 
 
+def test_classes_wrong_parameter_count_exits_three(capsys):
+    code, out, err = capture(capsys, ["classes", "--theory", "pres_z", "x < y",
+                                      "--params", "1,2;3,4"])
+    assert (code, out) == (3, "")
+    assert err == "qomin: expected 1 parameter values, got 2\n"
+
+
 def test_cuts_verb(capsys):
     code, out, _ = capture(capsys, ["cuts", "--n", "2",
                                     "--bounds", "(1,0);(3,0);(5,0)",
@@ -285,6 +292,13 @@ def test_reversed_window_exits_three(capsys, argv, window):
     code, out, err = capture(capsys, argv)
     assert (code, out) == (3, "")
     assert err == f"qomin: window lower end exceeds its upper end in {window!r}\n"
+
+
+@pytest.mark.parametrize("subset", ["(1,0)", "(1,0);(2,0);(3,0)"])
+def test_cuts_subset_needs_two_bounds(capsys, subset):
+    code, out, err = capture(capsys, ["cuts", "--subset", subset])
+    assert (code, out) == (3, "")
+    assert err == f"qomin: --subset takes two bounds 'a1;a2', got {subset!r}\n"
 
 
 def test_single_point_window_is_a_window(capsys):
