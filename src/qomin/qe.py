@@ -57,6 +57,8 @@ def _fold_atom(a) -> bool | None:
     """Truth value of a variable-free atom, None when not decidable here."""
     match a:
         case Lt(l, r) | Eq(l, r):
+            if l.coeffs != r.coeffs:  # canonical: l - r has a variable
+                return None
             v = _const_value(l - r)
             if v is None:
                 return None
@@ -85,21 +87,23 @@ def _connect(cls: type, parts) -> Formula:
     """The And or Or (cls) of parts that are already simplified, folded once:
     nested cls nodes are flattened, units and duplicates dropped, argument
     order kept; the zero when a part is the zero or a literal meets its
-    complement."""
-    unit, zero = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
+    complement, and no part after it is drawn.  Leaves are kept in two sets,
+    positive ones as they are and negated ones by their argument (NNF)."""
+    zero = FALSE if cls is And else TRUE
     out: list[Formula] = []
-    seen = set()
+    pos, neg = set(), set()
     for p in parts:
-        if p == zero:
-            return zero
-        if p == unit:
+        if isinstance(p, Bool):
+            if p.value == zero.value:
+                return zero
             continue
         for leaf in p.args if isinstance(p, cls) else (p,):
-            if leaf in seen:
+            key, same, other = (leaf.arg, neg, pos) if isinstance(leaf, Not) else (leaf, pos, neg)
+            if key in same:
                 continue
-            if _complement(leaf) in seen:
+            if key in other:
                 return zero
-            seen.add(leaf)
+            same.add(key)
             out.append(leaf)
     return and_(*out) if cls is And else or_(*out)
 
@@ -112,7 +116,7 @@ def simplify(f: Formula) -> Formula:
     non-atom) comes back unchanged, which is sound."""
     match f:
         case And(args) | Or(args):
-            return _connect(type(f), [simplify(a) for a in args])
+            return _connect(type(f), (simplify(a) for a in args))
         case Not(arg):
             v = _fold_atom(arg)
             return f if v is None else Bool(not v)
@@ -231,8 +235,9 @@ def _integer_sort(theory: Theory, sorts=()) -> Callable[[str], bool]:
 
 def _div_lit(m: int, t: Term, positive: bool) -> Formula:
     """D_m(t), or its negation when positive is False; D_1 is true."""
-    atom = Div(m, t) if m >= 2 else TRUE
-    return atom if positive else (Not(atom) if atom != TRUE else FALSE)
+    if m < 2:
+        return TRUE if positive else FALSE
+    return Div(m, t) if positive else Not(Div(m, t))
 
 
 def _classify(v: str, lits: tuple[Formula, ...], accepts) -> tuple[list, ...]:

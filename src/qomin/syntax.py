@@ -63,8 +63,10 @@ _RESERVED = {"true", "false"}
 class Term:
     """Canonical linear term: sorted (var, coeff) pairs plus (const, coeff) pairs.
 
-    Zero coefficients are never stored; variable and constant entries are
-    sorted by name so structurally equal terms compare equal.
+    Invariant: each tuple is sorted by name, with each name once and no zero
+    coefficient, so equal terms have equal tuples and equal variable parts
+    equal coeffs.  The arithmetic relies on it and keeps it; a direct
+    Term(...) call must pass canonical tuples.
     """
 
     coeffs: tuple[tuple[str, int], ...] = ()
@@ -89,32 +91,31 @@ class Term:
         return Term()
 
     def coeff(self, var: str) -> int:
-        return dict(self.coeffs).get(var, 0)
+        for v, c in self.coeffs:
+            if v == var:
+                return c
+        return 0
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.coeffs)
 
     def __add__(self, other: "Term") -> "Term":
-        cs = dict(self.coeffs)
-        for v, c in other.coeffs:
-            cs[v] = cs.get(v, 0) + c
-        ks = dict(self.consts)
-        for s, c in other.consts:
-            ks[s] = ks.get(s, 0) + c
-        return Term.make(cs, ks)
+        return Term(_combine(self.coeffs, other.coeffs, 1), _combine(self.consts, other.consts, 1))
 
     def __sub__(self, other: "Term") -> "Term":
-        return self + other.scale(-1)
+        return Term(_combine(self.coeffs, other.coeffs, -1), _combine(self.consts, other.consts, -1))
 
     def __neg__(self) -> "Term":
         return self.scale(-1)
 
     def scale(self, n: int) -> "Term":
+        if n == 1:
+            return self
         if n == 0:
             return Term()
         return Term(
-            tuple((v, c * n) for v, c in self.coeffs),
-            tuple((s, c * n) for s, c in self.consts),
+            tuple([(v, c * n) for v, c in self.coeffs]),
+            tuple([(s, c * n) for s, c in self.consts]),
         )
 
     def drop_var(self, var: str) -> "Term":
@@ -149,6 +150,19 @@ class Term:
             else:
                 pieces.append(("- " if c < 0 else "+ ") + body)
         return " ".join(pieces)
+
+
+def _combine(a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...],
+             k: int) -> tuple[tuple[str, int], ...]:
+    """The canonical pairs of a + k*b, for canonical a and b and k != 0."""
+    if not b:
+        return a
+    if not a:
+        return b if k == 1 else tuple([(name, k * c) for name, c in b])
+    out = dict(a)
+    for name, c in b:
+        out[name] = out.get(name, 0) + k * c
+    return tuple(sorted([p for p in out.items() if p[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +279,10 @@ def and_(*args: Formula) -> Formula:
     for a in args:
         if isinstance(a, And):
             flat.extend(a.args)
-        elif a == FALSE:
-            return FALSE
-        elif a != TRUE:
+        elif isinstance(a, Bool):
+            if not a.value:
+                return FALSE
+        else:
             flat.append(a)
     if not flat:
         return TRUE
@@ -281,9 +296,10 @@ def or_(*args: Formula) -> Formula:
     for a in args:
         if isinstance(a, Or):
             flat.extend(a.args)
-        elif a == TRUE:
-            return TRUE
-        elif a != FALSE:
+        elif isinstance(a, Bool):
+            if a.value:
+                return TRUE
+        else:
             flat.append(a)
     if not flat:
         return FALSE
@@ -613,7 +629,7 @@ def validate(f: Formula, theory: Theory) -> None:
     """Reject any symbol outside the theory's signature."""
     sig = _SIGNATURE[theory]
 
-    def check_term(t: Term, where: str) -> None:
+    def check_term(t: Term, where: Atom) -> None:
         for s, _ in t.consts:
             if s not in sig["consts"]:
                 raise SignatureError(f"constant {s!r} not in the {theory.value} signature ({where})")
@@ -627,12 +643,12 @@ def validate(f: Formula, theory: Theory) -> None:
     def check_atom(a: Atom) -> None:
         match a:
             case Lt(l, r) | Eq(l, r):
-                check_term(l, str(a))
-                check_term(r, str(a))
+                check_term(l, a)
+                check_term(r, a)
             case Div(m, t):
                 if not sig["div"]:
                     raise SignatureError(f"divisibility D{m} not in the {theory.value} signature")
-                check_term(t, str(a))
+                check_term(t, a)
             case Pred(name, idx, args):
                 if name not in sig["preds"]:
                     raise SignatureError(f"predicate {name!r} not in the {theory.value} signature")
@@ -644,7 +660,7 @@ def validate(f: Formula, theory: Theory) -> None:
                 if name in ("Qp", "P") and idx is not None:
                     raise SignatureError(f"predicate {name!r} takes no index")
                 for t in args:
-                    check_term(t, str(a))
+                    check_term(t, a)
 
     for a in atoms(f):
         check_atom(a)

@@ -19,7 +19,7 @@ from qomin.qe import (
 )
 from qomin.syntax import (
     And, Div, Eq, Exists, FALSE, Lt, Or, Pred, TRUE, Term, Theory, and_, atoms,
-    free_vars, is_quantifier_free, map_atoms, parse, print_formula, to_nnf, Not,
+    free_vars, is_quantifier_free, map_atoms, or_, parse, print_formula, to_nnf, Not,
 )
 
 Z = Theory.PRES_Z
@@ -104,6 +104,87 @@ def test_qe_outputs_are_simplify_fixpoints_on_corpus():
             if is_quantifier_free(f):
                 once = simplify(to_nnf(f))
                 assert simplify(once) == once, entry.text
+
+
+def test_simplify_stops_at_the_first_zero(monkeypatch):
+    """Once a part of an And/Or folds to the zero, no later sibling is
+    simplified."""
+    seen = []
+    inner = qe_module.simplify
+
+    def counted(f):
+        seen.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(qe_module, "simplify", counted)
+    later = And((_a, Lt(_y, _x)))
+    assert counted(Or((_b, Lt(_one, _two), later))) == TRUE
+    assert counted(And((_b, Eq(_one, _two), later))) == FALSE
+    assert _b in seen and later not in seen
+
+
+_FOLD_UNITS = ["1", "1Z", "1p", "1pp"]
+_FOLD_TERMS = st.builds(
+    Term.make, st.dictionaries(st.sampled_from("xy"), st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(_FOLD_UNITS), st.integers(-2, 2), max_size=2))
+
+
+@given(_FOLD_TERMS, _FOLD_TERMS, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fold_atom_coefficient_shortcut(l, c, shift, strict):
+    """_fold_atom, which returns None on unequal variable parts before it
+    subtracts, equals the fold of the difference l - r on every atom."""
+    r = l + c if shift else c
+    atom = Lt(l, r) if strict else Eq(l, r)
+    v = qe_module._const_value(l - r)
+    if v is None:
+        expected = None
+    else:
+        zero = (0, 0) if isinstance(v, tuple) else 0
+        expected = v < zero if strict else v == zero
+    assert qe_module._fold_atom(atom) == expected
+
+
+def _connect_one_set(cls, parts):
+    """The reference for _connect: one set of leaves, in which each leaf's
+    complement is built as a node and looked up."""
+    unit, zero = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
+    out, seen = [], set()
+    for p in parts:
+        if p == zero:
+            return zero
+        if p == unit:
+            continue
+        for leaf in p.args if isinstance(p, cls) else (p,):
+            if leaf in seen:
+                continue
+            if (leaf.arg if isinstance(leaf, Not) else Not(leaf)) in seen:
+                return zero
+            seen.add(leaf)
+            out.append(leaf)
+    return and_(*out) if cls is And else or_(*out)
+
+
+_LITERALS = st.sampled_from([_a, _b, _c, Eq(_x, _y)]).flatmap(
+    lambda atom: st.sampled_from([atom, Not(atom)]))
+
+
+@st.composite
+def _connect_parts(draw):
+    cls = draw(st.sampled_from([And, Or]))
+    other = Or if cls is And else And
+    part = st.one_of(
+        _LITERALS, st.sampled_from([TRUE, FALSE]),
+        st.lists(_LITERALS, min_size=2, max_size=3).map(lambda ls: cls(tuple(ls))),
+        st.lists(_LITERALS, min_size=2, max_size=2).map(lambda ls: other(tuple(ls))))
+    return cls, draw(st.lists(part, max_size=6))
+
+
+@given(_connect_parts())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_connect_matches_one_set_reference(case):
+    cls, parts = case
+    assert qe_module._connect(cls, iter(parts)) == _connect_one_set(cls, parts)
 
 
 # ---------------------------------------------------------------------------

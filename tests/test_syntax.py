@@ -8,7 +8,7 @@ from qomin.errors import ParseError, SignatureError
 from qomin.models import Window, eval_qf, eval_windowed
 from qomin.syntax import (
     And, Div, Eq, Exists, Lt, Not, Or, Pred, Solved, Term, Theory, free_vars,
-    parse, print_formula, solve_for, substitute, to_nnf,
+    parse, print_formula, solve_for, substitute, to_nnf, validate,
 )
 
 Z = Theory.PRES_Z
@@ -83,6 +83,60 @@ def test_term_canonical_examples():
 def test_term_make_idempotent(coeffs, consts):
     t = Term.make(coeffs, consts)
     assert Term.make(dict(t.coeffs), dict(t.consts)) == t
+
+
+def _reference(a, b, k: int) -> dict[str, int]:
+    """The non-zero entries of a + k*b, summed in a dict."""
+    out = dict(a)
+    for name, c in b:
+        out[name] = out.get(name, 0) + k * c
+    return {name: c for name, c in out.items() if c}
+
+
+def _assert_canonical(t: Term) -> None:
+    for pairs in (t.coeffs, t.consts):
+        names = [name for name, _ in pairs]
+        assert names == sorted(set(names))
+        assert all(c != 0 for _, c in pairs)
+
+
+_UNITS = ["1", "1Z", "1p", "1pp"]
+_TERMS = st.builds(Term.make,
+                   st.dictionaries(st.sampled_from("xyz"), st.integers(-3, 3), max_size=3),
+                   st.dictionaries(st.sampled_from(_UNITS), st.integers(-3, 3), max_size=3))
+
+
+@given(_TERMS, _TERMS, st.integers(-3, 3), st.sampled_from("xyzu"))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_term_arithmetic_matches_dict_reference(a, b, n, v):
+    """+, -, scale and coeff agree with dict arithmetic through Term.make, and
+    every result is canonical: sorted by name, without zero coefficients."""
+    for got, k in ((a + b, 1), (a - b, -1)):
+        _assert_canonical(got)
+        assert got == Term.make(_reference(a.coeffs, b.coeffs, k), _reference(a.consts, b.consts, k))
+    assert b - a + a == b
+    scaled = a.scale(n)
+    _assert_canonical(scaled)
+    assert scaled == Term.make({x: c * n for x, c in a.coeffs}, {s: c * n for s, c in a.consts})
+    assert a.coeff(v) == dict(a.coeffs).get(v, 0)
+
+
+def test_validate_error_texts():
+    """validate names the offending atom, printed, in its message."""
+    cases = [
+        (Eq(Term.var("x"), Term.const(1, "1Z")), Z,
+         "constant '1Z' not in the pres_z signature (x = 1Z)"),
+        (Div(2, Term.var("x") + Term.const(1, "1p")), Theory.LEX_ZQ,
+         "constant '1p' not in the lex_zq signature (D2(x + 1p))"),
+        (Lt(Term.var("x") + Term.var("y"), Term.var("z")), Theory.DLO_PRED,
+         "theory dlo_pred has no group operations; term x + y is not a variable (x + y < z)"),
+        (Pred("S", 0, (Term.var("x", 2), Term.var("z"))), Theory.TCHAIN,
+         "theory tchain has no group operations; term 2*x is not a variable (S0(2*x, z))"),
+    ]
+    for f, theory, text in cases:
+        with pytest.raises(SignatureError) as err:
+            validate(f, theory)
+        assert str(err.value) == text
 
 
 def test_free_vars_examples():
