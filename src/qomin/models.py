@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 from .errors import EvalError, WindowCapError
 from .syntax import (
     And, Bool, Div, Eq, Exists, Forall, Formula, Iff, Implies, Lt, Not, Or,
-    Pred, Term, Theory, and_, free_vars, is_quantifier_free, or_,
+    Pred, Term, Theory, and_, free_vars, is_quantifier_free, or_, rebuild,
 )
 
 Element = int | Fraction | tuple
@@ -266,16 +266,6 @@ def miniscope(f: Formula) -> Formula:
     one included: with no part left that mentions v the quantifier stays,
     as `E v. true` or `A v. false`, and says whether the domain is empty."""
     match f:
-        case Not(arg):
-            return Not(miniscope(arg))
-        case And(args):
-            return And(tuple(map(miniscope, args)))
-        case Or(args):
-            return Or(tuple(map(miniscope, args)))
-        case Implies(l, r):
-            return Implies(miniscope(l), miniscope(r))
-        case Iff(l, r):
-            return Iff(miniscope(l), miniscope(r))
         case Exists(v, body) | Forall(v, body):
             body = miniscope(body)
             split, join = (_conjuncts, and_) if isinstance(f, Exists) else (_disjuncts, or_)
@@ -285,7 +275,7 @@ def miniscope(f: Formula) -> Formula:
                 return type(f)(v, body)
             outside = [p for p in parts if v not in free_vars(p)]
             return join(*outside, type(f)(v, join(*inside)))
-    return f
+    return rebuild(f, miniscope)
 
 
 # ---------------------------------------------------------------------------

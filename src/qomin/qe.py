@@ -22,9 +22,9 @@ from .errors import (
     EvalError, NonSentenceError, ResourceCapError, UnsupportedTheoryError,
 )
 from .syntax import (
-    And, Bool, Div, Eq, Exists, FALSE, Forall, Formula, Iff, Implies, Lt, Not,
-    Or, Pred, Solved, TRUE, Term, Theory, and_, bound_vars, free_vars,
-    fresh_name, map_atoms, or_, solve_for, substitute, to_nnf, validate,
+    And, Bool, Div, Eq, Exists, FALSE, Forall, Formula, Implies, Lt, Not, Or,
+    Pred, Solved, TRUE, Term, Theory, and_, bound_vars, free_vars, fresh_name,
+    map_atoms, or_, rebuild, solve_for, substitute, to_nnf, validate,
 )
 from . import models
 
@@ -77,10 +77,6 @@ def _fold_atom(a) -> bool | None:
                 return None
             return v[0] == k
     return None
-
-
-def _complement(f: Formula) -> Formula:
-    return f.arg if isinstance(f, Not) else Not(f)
 
 
 def _connect(cls: type, parts) -> Formula:
@@ -171,15 +167,22 @@ def dnf(f: Formula) -> list[tuple[Formula, ...]]:
 
 
 def _merge_conj(left: tuple[Formula, ...], right: tuple[Formula, ...]) -> tuple[Formula, ...] | None:
+    """left + right without repeats, or None when a literal meets its
+    complement.  Each literal is keyed by its atom with its polarity."""
     out = list(left)
-    have = set(left)
+    have = {}
+    for lit in left:
+        neg = isinstance(lit, Not)
+        have[lit.arg if neg else lit] = not neg
     for lit in right:
-        if lit in have:
-            continue
-        if _complement(lit) in have:
+        neg = isinstance(lit, Not)
+        key = lit.arg if neg else lit
+        seen = have.get(key)
+        if seen is None:
+            have[key] = not neg
+            out.append(lit)
+        elif seen == neg:
             return None
-        have.add(lit)
-        out.append(lit)
     return tuple(out)
 
 
@@ -330,18 +333,7 @@ def translate_nat(f: Formula) -> Formula:
                 return Exists(v, and_(ge0(v), rec(body)))
             case Forall(v, body):
                 return Forall(v, Implies(ge0(v), rec(body)))
-            case Not(arg):
-                return Not(rec(arg))
-            case And(args):
-                return And(tuple(rec(a) for a in args))
-            case Or(args):
-                return Or(tuple(rec(a) for a in args))
-            case Implies(l, r):
-                return Implies(rec(l), rec(r))
-            case Iff(l, r):
-                return Iff(rec(l), rec(r))
-            case _:
-                return g
+        return rebuild(g, rec)
 
     return rec(f)
 
@@ -590,18 +582,6 @@ def lex_split(theory: Theory, f: Formula) -> ComponentFormula:
         match g:
             case Lt() | Eq() | Div() | Pred():
                 return split_atom(g)
-            case Bool():
-                return g
-            case Not(arg):
-                return Not(rec(arg))
-            case And(args):
-                return And(tuple(rec(a) for a in args))
-            case Or(args):
-                return Or(tuple(rec(a) for a in args))
-            case Implies(l, r):
-                return Implies(rec(l), rec(r))
-            case Iff(l, r):
-                return Iff(rec(l), rec(r))
             case Exists(v, body) | Forall(v, body):
                 z = fresh_name(f"{v}_z", taken)
                 taken.add(z)
@@ -612,9 +592,8 @@ def lex_split(theory: Theory, f: Formula) -> ComponentFormula:
                 sorts[s] = "s"
                 inner = rec(body)
                 del names[v]
-                if isinstance(g, Exists):
-                    return Exists(z, Exists(s, inner))
-                return Forall(z, Forall(s, inner))
+                return type(g)(z, type(g)(s, inner))
+        return rebuild(g, rec)
 
     formula = rec(f)
     pairs = tuple((v, *names[v]) for v in sorted(names))

@@ -398,43 +398,41 @@ def fresh_name(base: str, taken: set[str]) -> str:
     return f"{base}_{i}"
 
 
+def rebuild(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """f's node rebuilt from fn applied to each of its children, in order;
+    an atom or a truth value comes back unchanged."""
+    match f:
+        case Not(arg):
+            return Not(fn(arg))
+        case And(args) | Or(args):
+            return type(f)(tuple(fn(a) for a in args))
+        case Implies(l, r) | Iff(l, r):
+            return type(f)(fn(l), fn(r))
+        case Exists(v, body) | Forall(v, body):
+            return type(f)(v, fn(body))
+    return f
+
+
 def standardize(f: Formula) -> Formula:
     """Alpha-rename binders so every bound name is unique and disjoint from
-    the free variables.  Idempotent: already-standard names are kept."""
+    the free variables.  Idempotent: already-standard names are kept, and
+    env holds only the names that change."""
     taken = set(free_vars(f))
 
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
+    def walk(g: Formula, env: dict[str, Term]) -> Formula:
         match g:
             case Lt() | Eq() | Div() | Pred():
-                return _rename_atom(g, env)
-            case Bool():
-                return g
-            case Not(arg):
-                return Not(walk(arg, env))
-            case And(args):
-                return And(tuple(walk(a, env) for a in args))
-            case Or(args):
-                return Or(tuple(walk(a, env) for a in args))
-            case Implies(l, r):
-                return Implies(walk(l, env), walk(r, env))
-            case Iff(l, r):
-                return Iff(walk(l, env), walk(r, env))
+                return _map_atom_terms(g, lambda t: t.subst(env)) if env else g
             case Exists(v, body) | Forall(v, body):
                 name = fresh_name(v, taken)
                 taken.add(name)
-                env2 = dict(env)
-                env2[v] = name
-                body2 = walk(body, env2)
-                return Exists(name, body2) if isinstance(g, Exists) else Forall(name, body2)
+                env2 = {u: t for u, t in env.items() if u != v}
+                if name != v:
+                    env2[v] = Term.var(name)
+                return type(g)(name, walk(body, env2))
+        return rebuild(g, lambda h: walk(h, env))
 
     return walk(f, {})
-
-
-def _rename_atom(a: Atom, env: Mapping[str, str]) -> Atom:
-    if not env:
-        return a
-    bind = {v: Term.var(n) for v, n in env.items()}
-    return _map_atom_terms(a, lambda t: t.subst(bind))
 
 
 def _map_atom_terms(a: Atom, fn) -> Atom:
@@ -454,22 +452,7 @@ def map_atoms(f: Formula, fn) -> Formula:
     match f:
         case Lt() | Eq() | Div() | Pred():
             return fn(f)
-        case Bool():
-            return f
-        case Not(arg):
-            return Not(map_atoms(arg, fn))
-        case And(args):
-            return And(tuple(map_atoms(a, fn) for a in args))
-        case Or(args):
-            return Or(tuple(map_atoms(a, fn) for a in args))
-        case Implies(l, r):
-            return Implies(map_atoms(l, fn), map_atoms(r, fn))
-        case Iff(l, r):
-            return Iff(map_atoms(l, fn), map_atoms(r, fn))
-        case Exists(v, body):
-            return Exists(v, map_atoms(body, fn))
-        case Forall(v, body):
-            return Forall(v, map_atoms(body, fn))
+    return rebuild(f, lambda g: map_atoms(g, fn))
 
 
 def substitute(f: Formula, bindings: Mapping[str, Term]) -> Formula:
@@ -485,18 +468,6 @@ def substitute(f: Formula, bindings: Mapping[str, Term]) -> Formula:
         match g:
             case Lt() | Eq() | Div() | Pred():
                 return _map_atom_terms(g, lambda t: t.subst(env))
-            case Bool():
-                return g
-            case Not(arg):
-                return Not(walk(arg, env))
-            case And(args):
-                return And(tuple(walk(a, env) for a in args))
-            case Or(args):
-                return Or(tuple(walk(a, env) for a in args))
-            case Implies(l, r):
-                return Implies(walk(l, env), walk(r, env))
-            case Iff(l, r):
-                return Iff(walk(l, env), walk(r, env))
             case Exists(v, body) | Forall(v, body):
                 env2 = {u: t for u, t in env.items() if u != v}
                 name = v
@@ -504,8 +475,8 @@ def substitute(f: Formula, bindings: Mapping[str, Term]) -> Formula:
                     taken = set(free_vars(body)) | clash | set(env2)
                     name = fresh_name(v, taken)
                     body = walk(body, {v: Term.var(name)})
-                body2 = walk(body, env2) if env2 else body
-                return Exists(name, body2) if isinstance(g, Exists) else Forall(name, body2)
+                return type(g)(name, walk(body, env2) if env2 else body)
+        return rebuild(g, lambda h: walk(h, env))
 
     return walk(f, bindings)
 

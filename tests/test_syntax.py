@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from qomin import corpus
 from qomin.errors import ParseError, SignatureError
 from qomin.models import Window, eval_qf, eval_windowed
+from qomin.qe import dnf
 from qomin.syntax import (
-    And, Div, Eq, Exists, Lt, Not, Or, Pred, Solved, Term, Theory, free_vars,
-    parse, print_formula, solve_for, substitute, to_nnf, validate,
+    TRUE, And, Div, Eq, Exists, Forall, Iff, Implies, Lt, Not, Or, Pred, Solved,
+    Term, Theory, free_vars, parse, print_formula, rebuild, solve_for,
+    standardize, substitute, to_nnf, validate,
 )
 
 Z = Theory.PRES_Z
@@ -192,6 +194,65 @@ def test_standardize_renames_shadowed_binders():
     assert print_formula(f) == "E x. E x_1. x_1 = y"
 
 
+def test_standardize_renames_nested_binders_apart_from_free_names():
+    f = parse("x < 1 & (E x. x < 2 & (E x. x < 3))", Z)
+    assert print_formula(f) == "x < 1 & (E x_1. x_1 < 2 & (E x_2. x_2 < 3))"
+
+
+def _corpus_formulas():
+    return [(t, parse(e.text, t)) for t in corpus.CORPUS for e in corpus.entries(t)]
+
+
+def test_standardize_keeps_every_corpus_row():
+    rows = _corpus_formulas()
+    assert len(rows) == 230
+    for _, f in rows:
+        assert standardize(f) == f
+
+
+_A, _B, _C = (parse(text, Z) for text in ("x < y", "D2(x)", "y = 1"))
+_M1, _M2, _M3 = (Pred("del", k, (Term.var("x"),)) for k in (1, 2, 3))
+# node, its children in order, the node with its i-th child replaced by _Mi
+_NODES = [
+    (_A, [], _A),
+    (TRUE, [], TRUE),
+    (Not(_A), [_A], Not(_M1)),
+    (And((_A, _B, _C)), [_A, _B, _C], And((_M1, _M2, _M3))),
+    (Or((_C, _A)), [_C, _A], Or((_M1, _M2))),
+    (Implies(_A, _B), [_A, _B], Implies(_M1, _M2)),
+    (Iff(_B, _C), [_B, _C], Iff(_M1, _M2)),
+    (Exists("x", _A), [_A], Exists("x", _M1)),
+    (Forall("y", _C), [_C], Forall("y", _M1)),
+]
+
+
+@pytest.mark.parametrize("f, children, marked", _NODES)
+def test_rebuild_identity_on_each_node_kind(f, children, marked):
+    assert rebuild(f, lambda g: g) == f
+
+
+@pytest.mark.parametrize("f, children, marked", _NODES)
+def test_rebuild_maps_each_child_once_in_order(f, children, marked):
+    seen = []
+
+    def fn(g):
+        seen.append(g)
+        return (_M1, _M2, _M3)[len(seen) - 1]
+
+    assert rebuild(f, fn) == marked
+    assert seen == children
+
+
+def test_rebuild_identity_on_corpus():
+    for _, f in _corpus_formulas():
+        assert rebuild(f, lambda g: g) == f
+
+
+def test_dnf_prunes_complements_and_repeats():
+    f = parse("D2(x) & (~D2(x) | y < x) & (y < x | y < x)", Z)
+    assert dnf(f) == [(Div(2, Term.var("x")), Lt(Term.var("y"), Term.var("x")))]
+
+
 @pytest.mark.parametrize("theory", list(corpus.CORPUS))
 def test_nnf_preserves_windowed_truth(theory):
     """to_nnf keeps the windowed truth value on corpus formulas."""
@@ -264,7 +325,7 @@ def test_solve_for_leaves_other_literals_unchanged():
     assert solve_for(Not(lit), "v") == Not(lit)
 
 
-def _rebuild(s, v):
+def _solved_atom(s, v):
     """The atom a solved form stands for."""
     av = Term.var(v, s.a)
     if s.kind == "upper":
@@ -296,7 +357,7 @@ def test_solve_for_keeps_truth(kind, lv, ly, rv, ry, c, m, vval, yval):
     s = solve_for(lit, "v")
     if isinstance(s, Solved):
         assert s.a > 0 and "v" not in s.t.variables()
-        s = _rebuild(s, "v")
+        s = _solved_atom(s, "v")
     else:
         assert "v" not in free_vars(s)
     asg = {"v": vval, "y": yval}
