@@ -7,10 +7,13 @@ disjunct total and sha256 of the corpus decompositions, and the same for the
 decompositions of a generated grid of lex_zq, lex_zz and tchain atoms in x.
 Two trees print the same digest exactly when those outputs are
 byte-identical.  CI compares
-the two lines with scripts/output_digest.expected; a change that alters an
-output on purpose updates that file in the same commit.
+the three lines with scripts/output_digest.expected; a change that alters an
+output on purpose updates that file in the same commit.  With --rows the
+script also prints one tab-separated line per row (section, theory, text,
+and the row's atom or disjunct count) before the line of its section, so
+that the outputs of two trees can be compared row by row with diff.
 
-Usage: python scripts/output_digest.py   (from the repository root)
+Usage: python scripts/output_digest.py [--rows]   (from the repository root)
 """
 
 import hashlib
@@ -48,35 +51,52 @@ def grid_rows() -> list[tuple[Theory, str]]:
     return rows
 
 
-def decompose_digest(rows: list[tuple[Theory, str, str]]) -> str:
+def decompose_digest(rows: list[tuple[Theory, str, str]], show) -> str:
     """Row count, disjunct total and sha256 of the decompositions' JSON."""
     digest = hashlib.sha256()
     disjuncts = 0
     for theory, text, var in rows:
         dec = decompose(theory, parse(text, theory), var)
         disjuncts += len(dec.disjuncts)
+        show(theory, text, len(dec.disjuncts))
         line = json.dumps([theory.value, text, dec.to_json()], sort_keys=True)
         digest.update(f"{line}\n".encode())
     return f"{len(rows)} rows, {disjuncts} disjuncts, sha256 {digest.hexdigest()}"
 
 
-def main() -> int:
+def row_printer(section: str, on: bool):
+    """The per-row printer of --rows for one section; a no-op when off."""
+    def show(theory: Theory, text: str, count: int) -> None:
+        if on:
+            print(f"{section}\t{theory.value}\t{text}\t{count}")
+    return show
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--rows"]):
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    per_row = bool(argv)
     digest = hashlib.sha256()
     total_atoms = 0
     rows = qe_rows()
+    show = row_printer("qe", per_row)
     for theory, text in rows:
         out = qe(theory, parse(text, theory))
         f = out.formula if isinstance(out, ComponentFormula) else out
-        total_atoms += sum(1 for _ in atoms(f))
+        n = sum(1 for _ in atoms(f))
+        total_atoms += n
+        show(theory, text, n)
         digest.update(f"{theory.value}\t{text}\t{print_formula(f)}\n".encode())
     print(f"qe: {len(rows)} rows, {total_atoms} atoms, sha256 {digest.hexdigest()}")
 
     corpus_rows = [(t, e.text, e.dist_var) for t in corpus.CORPUS
                    for e in corpus.entries(t) if e.dist_var is not None]
-    print(f"decompose: {decompose_digest(corpus_rows)}")
-    print(f"decompose grid: {decompose_digest([(t, text, 'x') for t, text in grid_rows()])}")
+    print(f"decompose: {decompose_digest(corpus_rows, row_printer('decompose', per_row))}")
+    grid = [(t, text, "x") for t, text in grid_rows()]
+    print(f"decompose grid: {decompose_digest(grid, row_printer('decompose grid', per_row))}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
