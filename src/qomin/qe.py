@@ -2,7 +2,8 @@
 
 One pipeline serves every theory: validate, relativize pres_n to pres_z or
 split a lexicographic product into its components, then eliminate
-innermost-first over DNF.  Variables of integer sort go to Cooper's
+innermost-first over DNF, dropping each conjunct whose literals bound one
+linear form to an empty interval.  Variables of integer sort go to Cooper's
 algorithm (divisibility-aware test points over an lcm-normalized variable);
 the others go to the theory's dense engine: scaled Fourier-Motzkin for the
 divisible rational group, which also covers the dense order with predicate
@@ -23,8 +24,8 @@ from .errors import (
 )
 from .syntax import (
     And, Bool, Div, Eq, Exists, FALSE, Forall, Formula, Implies, Lt, Not, Or,
-    Pred, Solved, TRUE, Term, Theory, and_, bound_vars, free_vars, fresh_name,
-    map_atoms, or_, rebuild, solve_for, substitute, to_nnf, validate,
+    Pred, Solved, TRUE, Term, Theory, _combine, and_, bound_vars, free_vars,
+    fresh_name, map_atoms, or_, rebuild, solve_for, substitute, to_nnf, validate,
 )
 from . import models
 
@@ -187,13 +188,88 @@ def _merge_conj(left: tuple[Formula, ...], right: tuple[Formula, ...]) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Generic driver: innermost-first existential elimination over DNF
+# Generic driver: innermost-first existential elimination over DNF, without
+# the conjuncts whose literals give one linear form an empty interval
+
+
+def _form(atom: Lt | Eq) -> tuple[tuple[tuple[str, int], ...], int | None]:
+    """(p, c) when atom reads p < c or p = c: p the canonical (variable,
+    coefficient) pairs of l - r, c a multiple of the constant 1, or None when
+    a side holds another constant."""
+    c = 0
+    for side, sign in ((atom.right, 1), (atom.left, -1)):
+        for s, k in side.consts:
+            if s != "1":
+                return (), None
+            c += sign * k
+    return _combine(atom.left.coeffs, atom.right.coeffs, -1), c
+
+
+def _interval_reader(int_var: Callable[[str], bool]):
+    """A memoizing reader of the interval that an Lt or Eq literal whose
+    constants are all 1 gives its primitive linear form, the p of _form with
+    the gcd g of its coefficients divided out and the leading one made
+    positive, so that the literal reads g*p < c or g*p = c.
+
+    The reader returns (p, low, high), p interned as an int; each end is a key
+    (value, e) read as value + e*epsilon, or None when unbounded.  Over the
+    integers (every variable of p of integer sort) a strict end is tightened
+    to a closed one by floor division, and an equality that g does not divide
+    is the empty interval [1, 0].  Any other literal reads as None."""
+    memo: dict[int, tuple | None] = {}
+    forms: dict[tuple, int] = {}
+
+    def interval(lit: Formula) -> tuple | None:
+        if not isinstance(lit, (Lt, Eq)):
+            return None
+        pairs, c = _form(lit)
+        if not pairs or c is None:
+            return None
+        g = math.gcd(*[a for _, a in pairs])
+        g = g if pairs[0][1] > 0 else -g
+        p = forms.setdefault(pairs if g == 1 else tuple([(x, a // g) for x, a in pairs]), len(forms))
+        if all([int_var(x) for x, _ in pairs]):
+            if isinstance(lit, Eq):
+                return (p, (c // g, 0), (c // g, 0)) if c % g == 0 else (p, (1, 0), (0, 0))
+            return (p, None, ((c - 1) // g, 0)) if g > 0 else (p, (c // g + 1, 0), None)
+        value = c * g if abs(g) == 1 else Fraction(c, g)
+        if isinstance(lit, Eq):
+            return p, (value, 0), (value, 0)
+        return (p, None, (value, -1)) if g > 0 else (p, (value, 1), None)
+
+    def read(lit: Formula) -> tuple | None:
+        key = id(lit)  # the conjuncts of one DNF share their literal nodes
+        if key not in memo:
+            memo[key] = interval(lit)
+        return memo[key]
+    return read
+
+
+def _empty_interval(conj: tuple[Formula, ...], read) -> bool:
+    """Whether the literals of conj bound one linear form to an empty
+    interval, each literal read by an _interval_reader."""
+    lows: dict[int, tuple] = {}
+    highs: dict[int, tuple] = {}
+    for lit in conj:
+        bound = read(lit)
+        if bound is None:
+            continue
+        p, low, high = bound
+        if low is not None and (p not in lows or low > lows[p]):
+            lows[p] = low
+        if high is not None and (p not in highs or high < highs[p]):
+            highs[p] = high
+        if p in lows and p in highs and lows[p] > highs[p]:
+            return True
+    return False
 
 
 def _eliminate(f: Formula, elim_exists,
                int_var: Callable[[str], bool] = lambda v: False) -> Formula:
     """f must be in NNF.  elim_exists(var, literals) -> Formula; int_var
-    tells to_nnf which variables have integer sort.  Every node comes back
+    tells to_nnf and the interval reader which variables have integer sort.
+    Of a DNF with more than one conjunct, the conjuncts that _empty_interval
+    finds empty are dropped before elim_exists runs.  Every node comes back
     simplified: an atom, an engine output or a negated universal body goes
     through simplify's one pass, and an And/Or node folds its simplified
     children with _connect without walking them again."""
@@ -218,7 +294,11 @@ def _eliminate(f: Formula, elim_exists,
     def _exists(v: str, body: Formula) -> Formula:
         if v not in free_vars(body):
             return body
-        return simplify(or_(*(elim_exists(v, conj) for conj in dnf(body))))
+        conjs = dnf(body)
+        if len(conjs) > 1:  # a lone conjunct goes to the engine as it is
+            read = _interval_reader(int_var)
+            conjs = [conj for conj in conjs if not _empty_interval(conj, read)]
+        return simplify(or_(*(elim_exists(v, conj) for conj in conjs)))
 
     return rec(f)
 
@@ -417,12 +497,6 @@ def _to_lex(atom: Formula) -> Formula:
     return atom
 
 
-def _form(atom: Lt | Eq) -> tuple[Term, int]:
-    """(p, c) when atom reads p < c or p = c, p the variable part of l - r."""
-    d = atom.left - atom.right
-    return Term(d.coeffs), -dict(d.consts).get("1", 0)
-
-
 def _prune(f: Formula) -> Formula:
     """f with each And/Or node rid of the atoms that another atom on the same
     linear form p subsumes: in an And every p < c but the least, in an Or
@@ -430,7 +504,7 @@ def _prune(f: Formula) -> Formula:
     if not isinstance(f, (And, Or)):
         return f
     args, conj = [_prune(a) for a in f.args], isinstance(f, And)
-    kept: dict[Term, tuple[int, int]] = {}  # p -> (c, position) of the p < c kept
+    kept: dict[tuple, tuple[int, int]] = {}  # p -> (c, position) of the p < c kept
     for i, a in enumerate(args):
         if isinstance(a, Lt):
             p, c = _form(a)
@@ -442,7 +516,8 @@ def _prune(f: Formula) -> Formula:
             return kept[_form(a)[0]][1] == i
         if isinstance(a, Eq) and not conj:
             p, c = _form(a)
-            return all(q not in kept or d >= kept[q][0] for q, d in ((p, c), (-p, -c)))
+            minus = tuple([(x, -k) for x, k in p])
+            return all(q not in kept or d >= kept[q][0] for q, d in ((p, c), (minus, -c)))
         return True
     return (and_ if conj else or_)(*(a for i, a in enumerate(args) if stays(i, a)))
 

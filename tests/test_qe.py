@@ -824,8 +824,8 @@ def test_vacuous_universal_is_dropped():
     assert print_formula(qe(Z, parse("A u. y < z", Z))) == "y < z"
 
 
-@pytest.mark.parametrize("theory", [Theory.LEX_ZQ, Theory.LEX_ZZ])
-def test_del_rows_need_few_cooper_calls(theory, monkeypatch):
+def _count_cooper_calls(monkeypatch) -> list[str]:
+    """The variables of every later _cooper_exists call, in call order."""
     calls = []
     cooper = qe_module._cooper_exists
 
@@ -834,9 +834,97 @@ def test_del_rows_need_few_cooper_calls(theory, monkeypatch):
         return cooper(v, lits)
 
     monkeypatch.setattr(qe_module, "_cooper_exists", counted)
+    return calls
+
+
+@pytest.mark.parametrize("theory", [Theory.LEX_ZQ, Theory.LEX_ZZ])
+def test_del_rows_need_few_cooper_calls(theory, monkeypatch):
+    calls = _count_cooper_calls(monkeypatch)
     out = qe(theory, parse("~(E u. del0(u) & del1(u))", theory))
     assert print_formula(out.formula) == "true"
     assert 0 < len(calls) <= 16
+
+
+def test_e_a_row_needs_few_cooper_calls(monkeypatch):
+    # the inner universal leaves clauses whose DNF holds 67,500 conjuncts
+    # under the outer E u, most of them empty intervals on one form; with
+    # those dropped before the engine runs, 66 Cooper calls remain
+    calls = _count_cooper_calls(monkeypatch)
+    text = "E u. -7 < u & u < -4 & (A v. 4 < v & v < 8 -> (2*v <= -1 <-> 2*v - u <= 3))"
+    assert print_formula(qe(Z, parse(text, Z))) == "true"
+    assert len(calls) <= 100
+
+
+# ---------------------------------------------------------------------------
+# The interval prune of _eliminate: a DNF conjunct whose Lt/Eq literals bound
+# one primitive linear form to an empty interval is dropped before the engine
+# runs.  Over the integers strict bounds are tightened and an equality needs
+# its gcd to divide its constant; over the rationals neither holds.
+
+PRUNE_INT = models.enumerate_window(Z, Window(-8, 8))
+PRUNE_RAT = models.enumerate_window(Theory.DOAG_Q, Window(Fraction(-2), Fraction(2), 6))
+# (integer-sort variables, the theory a conjunct is evaluated in): pres_z,
+# doag_q, and the lex_zq components with x = x_z an integer and y = y_2 a
+# rational coordinate, evaluated in doag_q as qe evaluates component output
+PRUNE_SORTS = {"pres_z": ({"x", "y"}, Z), "doag_q": (set(), Theory.DOAG_Q),
+               "lex_zq": ({"x"}, Theory.DOAG_Q)}
+
+
+def _pruned(conj, ints) -> bool:
+    return qe_module._empty_interval(conj, qe_module._interval_reader(ints.__contains__))
+
+
+@pytest.mark.parametrize("text,pres_z,doag_q,lex_zq", [
+    # empty over pres_z only: strict bounds tighten, 2 does not divide 1
+    ("2*x = 1", True, False, True),
+    ("x < y & y < x + 1", True, False, False),
+    ("3*x < 3*y + 2 & y < x", True, False, False),
+    # empty everywhere: a point meets a strict bound, two orientations meet
+    ("x = y + 1 & x < y + 1", True, True, True),
+    ("2*x < 2*y & y < x", True, True, True),
+    # empty nowhere
+    ("2*x < 2*y + 3 & y < x", False, False, False),
+])
+def test_prune_reads_each_sort(text, pres_z, doag_q, lex_zq):
+    # with y a rational coordinate, as in the lex_zq components, a form in
+    # x and y is dense
+    f = parse(text, Z)
+    conj = f.args if isinstance(f, And) else (f,)
+    expected = {"pres_z": pres_z, "doag_q": doag_q, "lex_zq": lex_zq}
+    assert {name: _pruned(conj, ints) for name, (ints, _) in PRUNE_SORTS.items()} == expected
+
+
+@st.composite
+def _prune_literal(draw):
+    # a multiple of one of a few forms in x and y, its sides split at random,
+    # so that literals on one form meet often and in both orientations
+    a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, -1), (1, 1), (2, -1)]))
+    k = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    a, b = a * k, b * k
+    c, shift = draw(st.integers(-4, 4)), draw(st.integers(-2, 2))
+    left = Term.make({"x": a}, {"1": shift})
+    right = Term.make({"y": -b}, {"1": c + shift})
+    if draw(st.booleans()):
+        left, right = left - right, Term.zero()
+    atom = draw(st.sampled_from([Lt(left, right), Lt(right, left), Eq(left, right),
+                                 Div(2, left)]))
+    return Not(atom) if draw(st.integers(0, 4)) == 0 else atom
+
+
+# cost: about 2 s, 300 draws with each dropped conjunct evaluated at every
+# point of the window, 2,401 for two rational variables
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_prune_literal(), min_size=1, max_size=4), st.sampled_from(sorted(PRUNE_SORTS)))
+def test_pruned_conjuncts_have_no_point(lits, sorts):
+    import itertools
+    ints, theory = PRUNE_SORTS[sorts]
+    conj = tuple(dict.fromkeys(lits))
+    if not _pruned(conj, ints):
+        return
+    holds = models.compile_eval(theory, and_(*conj))
+    windows = [PRUNE_INT if v in ints else PRUNE_RAT for v in ("x", "y")]
+    for x, y in itertools.product(*windows):
+        assert not holds({"x": x, "y": y}), (sorts, [str(lit) for lit in conj], x, y)
 
 
 # ---------------------------------------------------------------------------
