@@ -227,7 +227,8 @@ def _interval_reader(int_var: Callable[[str], bool]):
             return None
         g = math.gcd(*[a for _, a in pairs])
         g = g if pairs[0][1] > 0 else -g
-        p = forms.setdefault(pairs if g == 1 else tuple([(x, a // g) for x, a in pairs]), len(forms))
+        primitive = pairs if g == 1 else tuple([(x, a // g) for x, a in pairs])
+        p = forms.setdefault(primitive, len(forms))
         if all([int_var(x) for x, _ in pairs]):
             if isinstance(lit, Eq):
                 return (p, (c // g, 0), (c // g, 0)) if c % g == 0 else (p, (1, 0), (0, 0))
