@@ -64,7 +64,10 @@ def _parse_at(text: str, theory: Theory) -> dict:
         if "=" not in item:
             raise EvalError(f"bindings look like 'y=(1,0)' or 'y=3', got {item!r}")
         name, _, value = item.partition("=")
-        out[name.strip()] = models.parse_element(value, theory)
+        name = name.strip()
+        if name in out:
+            raise EvalError(f"variable {name!r} is bound twice in {text!r}")
+        out[name] = models.parse_element(value, theory)
     return out
 
 

@@ -624,8 +624,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_element(text: str, theory: Theory) -> Element:
-    """Parse 'n', 'p/q', or '(a, p/q)' into a model element."""
+    """Parse 'n', 'p/q', or '(a, p/q)' into a model element.  A numeral of
+    the wrong kind raises EvalError naming the text and the theory."""
     text = text.strip()
+
+    def number(part: str, integer: bool):
+        try:
+            return int(part) if integer else parse_rational(part)
+        except ValueError:
+            raise EvalError(f"{text!r} is not an element of the {theory.value} model") from None
+
     if text.startswith("("):
         if not text.endswith(")"):
             raise EvalError(f"malformed pair {text!r}")
@@ -633,15 +641,8 @@ def parse_element(text: str, theory: Theory) -> Element:
         parts = inner.split(",")
         if len(parts) != 2:
             raise EvalError(f"malformed pair {text!r}")
-        a = int(parts[0].strip())
-        if theory == Theory.LEX_ZZ:
-            b: Element = int(parts[1].strip())
-        else:
-            b = parse_rational(parts[1])
-        v: Element = (a, b)
-    elif theory in _RAT_THEORIES:
-        v = parse_rational(text)
+        v: Element = (number(parts[0], True), number(parts[1], theory == Theory.LEX_ZZ))
     else:
-        v = int(text)
+        v = number(text, theory not in _RAT_THEORIES)
     check_element(theory, v)
     return v

@@ -84,25 +84,29 @@ def _connect(cls: type, parts) -> Formula:
     """The And or Or (cls) of parts that are already simplified, folded once:
     nested cls nodes are flattened, units and duplicates dropped, argument
     order kept; the zero when a part is the zero or a literal meets its
-    complement, and no part after it is drawn.  Leaves are kept in two sets,
-    positive ones as they are and negated ones by their argument (NNF)."""
-    zero = FALSE if cls is And else TRUE
+    complement, and no part after it is drawn.  Each leaf is keyed by its
+    atom, a negated one by its argument (NNF), and the key maps to where the
+    leaf first occurs in the output, so one lookup finds a repeat or a
+    complement."""
+    zero, unit = (FALSE, TRUE) if cls is And else (TRUE, FALSE)
     out: list[Formula] = []
-    pos, neg = set(), set()
+    first: dict[Formula, int] = {}
     for p in parts:
         if isinstance(p, Bool):
             if p.value == zero.value:
                 return zero
             continue
         for leaf in p.args if isinstance(p, cls) else (p,):
-            key, same, other = (leaf.arg, neg, pos) if isinstance(leaf, Not) else (leaf, pos, neg)
-            if key in same:
-                continue
-            if key in other:
+            neg = isinstance(leaf, Not)
+            i = first.setdefault(leaf.arg if neg else leaf, len(out))
+            if i == len(out):
+                out.append(leaf)
+            elif isinstance(out[i], Not) is not neg:
                 return zero
-            same.add(key)
-            out.append(leaf)
-    return and_(*out) if cls is And else or_(*out)
+    # out is flat and free of units already: no second pass through and_/or_
+    if len(out) > 1:
+        return cls(tuple(out))
+    return out[0] if out else unit
 
 
 def simplify(f: Formula) -> Formula:
@@ -116,9 +120,9 @@ def simplify(f: Formula) -> Formula:
             return _connect(type(f), (simplify(a) for a in args))
         case Not(arg):
             v = _fold_atom(arg)
-            return f if v is None else Bool(not v)
+            return f if v is None else (FALSE if v else TRUE)
     v = _fold_atom(f)
-    return f if v is None else Bool(v)
+    return f if v is None else (TRUE if v else FALSE)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +173,15 @@ def dnf(f: Formula) -> list[tuple[Formula, ...]]:
 
 def _merge_conj(left: tuple[Formula, ...], right: tuple[Formula, ...]) -> tuple[Formula, ...] | None:
     """left + right without repeats, or None when a literal meets its
-    complement.  Each literal is keyed by its atom with its polarity."""
+    complement.  Each literal is keyed by its atom, as in _connect."""
     out = list(left)
-    have = {}
-    for lit in left:
-        neg = isinstance(lit, Not)
-        have[lit.arg if neg else lit] = not neg
+    first = {lit.arg if isinstance(lit, Not) else lit: i for i, lit in enumerate(left)}
     for lit in right:
         neg = isinstance(lit, Not)
-        key = lit.arg if neg else lit
-        seen = have.get(key)
-        if seen is None:
-            have[key] = not neg
+        i = first.setdefault(lit.arg if neg else lit, len(out))
+        if i == len(out):
             out.append(lit)
-        elif seen == neg:
+        elif isinstance(out[i], Not) is not neg:
             return None
     return tuple(out)
 

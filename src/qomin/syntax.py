@@ -4,14 +4,17 @@ Terms are linear: integer coefficients on variables plus integer multiples
 of the signature's constant symbols.  Atoms cover order, equality, modular
 divisibility D_m, and the indexed predicate families (Qp, P, S_n, del_k).
 Formulas are trees over atoms with the usual connectives and quantifiers.
-Everything is immutable; every operation here is pure.
+Everything is immutable; every operation here is pure.  The node classes
+(terms, atoms, truth values, connectives, quantifiers) are declared by
+`_node`: slotted frozen dataclasses that compute their hash and their free
+variables once.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Callable, Iterator, Mapping
 
 from .errors import ParseError, SignatureError
@@ -56,11 +59,93 @@ _RESERVED = {"true", "false"}
 
 
 # ---------------------------------------------------------------------------
+# Node declaration
+
+
+class _Hashed:
+    """A cache slot for the hash, None until first asked for."""
+
+    __slots__ = ("_hash",)
+
+
+class _Node(_Hashed):
+    """A formula node: a cache slot for its free variables as well."""
+
+    __slots__ = ("_fv",)
+
+
+_set_hash = _Hashed._hash.__set__
+_set_fv = _Node._fv.__set__
+
+# Equal free-variable sets share one object; bounded, since a long-lived
+# process may meet ever new names.
+_SHARED_VARS: dict[frozenset[str], frozenset[str]] = {}
+_SHARED_VARS_CAP = 1 << 16
+
+
+def _share(vs: frozenset[str]) -> frozenset[str]:
+    shared = _SHARED_VARS.get(vs)
+    if shared is None:
+        if len(_SHARED_VARS) >= _SHARED_VARS_CAP:
+            _SHARED_VARS.clear()
+        shared = _SHARED_VARS[vs] = vs
+    return shared
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _node(cls):
+    """Declare a node class: a slotted frozen dataclass (class-sensitive ==,
+    repr, __match_args__) with three methods of its own.  __init__ sets the
+    slots through their descriptors, not through the frozen __setattr__;
+    __hash__ is computed on first use and kept; __reduce__ pickles and
+    copies through the constructor, so a copy starts with empty caches.
+    Assigning to any attribute raises FrozenInstanceError (the dataclass's
+    own frozen __setattr__ raises TypeError on a slotted class for a
+    non-field name).  The dataclass writes no __init__, and each node class
+    has a docstring, so that it computes no signature for a docstring
+    either: both would only add import time."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    ns = {"set_hash": _set_hash, "set_fv": _set_fv}
+    params, sets = [], []
+    for f in fields(cls):
+        ns[f"set_{f.name}"] = getattr(cls, f.name).__set__
+        ns[f"default_{f.name}"] = f.default
+        params.append(f.name if f.default is MISSING else f"{f.name}=default_{f.name}")
+        sets.append(f"set_{f.name}(self, {f.name})")
+    sets += ["set_hash(self, None)"] + (["set_fv(self, None)"] if issubclass(cls, _Node) else [])
+    if hasattr(cls, "__post_init__"):
+        sets.append("self.__post_init__()")
+    values = "".join(f"self.{f.name}, " for f in fields(cls))
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(sets) + f"""
+def __hash__(self):
+    h = self._hash
+    if h is None:
+        h = hash(({values}))
+        set_hash(self, h)
+    return h
+def __reduce__(self):
+    return (self.__class__, ({values}))
+""", ns)
+    for name in ("__init__", "__hash__", "__reduce__"):
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, ns[name])
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
+@_node
+class Term(_Hashed):
     """Canonical linear term: sorted (var, coeff) pairs plus (const, coeff) pairs.
 
     Invariant: each tuple is sorted by name, with each name once and no zero
@@ -97,7 +182,7 @@ class Term:
         return 0
 
     def variables(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.coeffs)
+        return frozenset([v for v, _ in self.coeffs])
 
     def __add__(self, other: "Term") -> "Term":
         return Term(_combine(self.coeffs, other.coeffs, 1), _combine(self.consts, other.consts, 1))
@@ -169,8 +254,10 @@ def _combine(a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...],
 # Atoms and formulas
 
 
-@dataclass(frozen=True)
-class Lt:
+@_node
+class Lt(_Node):
+    """left < right."""
+
     left: Term
     right: Term
 
@@ -178,8 +265,10 @@ class Lt:
         return f"{self.left} < {self.right}"
 
 
-@dataclass(frozen=True)
-class Eq:
+@_node
+class Eq(_Node):
+    """left = right."""
+
     left: Term
     right: Term
 
@@ -187,8 +276,8 @@ class Eq:
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True)
-class Div:
+@_node
+class Div(_Node):
     """D_m(t): the modulus m divides t.  Requires m >= 2."""
 
     modulus: int
@@ -202,8 +291,8 @@ class Div:
         return f"D{self.modulus}({self.arg})"
 
 
-@dataclass(frozen=True)
-class Pred:
+@_node
+class Pred(_Node):
     """Named predicate atom: Qp(t), P(t), S_n(t, s), del_k(t)."""
 
     name: str
@@ -219,8 +308,10 @@ class Pred:
 Atom = Lt | Eq | Div | Pred
 
 
-@dataclass(frozen=True)
-class Bool:
+@_node
+class Bool(_Node):
+    """A truth value, true or false."""
+
     value: bool
 
     def __str__(self) -> str:
@@ -231,41 +322,55 @@ TRUE = Bool(True)
 FALSE = Bool(False)
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
+    """Negation."""
+
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
+    """Conjunction of two or more formulas."""
+
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
+    """Disjunction of two or more formulas."""
+
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
-class Implies:
+@_node
+class Implies(_Node):
+    """left -> right."""
+
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+@_node
+class Iff(_Node):
+    """left <-> right."""
+
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Node):
+    """E var. body."""
+
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
+    """A var. body."""
+
     var: str
     body: "Formula"
 
@@ -327,35 +432,36 @@ def atoms(f: Formula) -> Iterator[Atom]:
 
 
 def term_vars(atom: Atom) -> frozenset[str]:
-    match atom:
-        case Lt(l, r) | Eq(l, r):
-            return l.variables() | r.variables()
-        case Div(_, t):
-            return t.variables()
-        case Pred(_, _, args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= a.variables()
-            return out
+    """The variables of an atom's terms: its free variables."""
+    return free_vars(atom)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
+    """The free variables of f, computed once per node; equal sets are one
+    shared object."""
+    fv = f._fv
+    if fv is not None:
+        return fv
     match f:
-        case Lt() | Eq() | Div() | Pred():
-            return term_vars(f)
-        case Bool():
-            return frozenset()
+        case Lt(l, r) | Eq(l, r):
+            fv = frozenset([v for v, _ in l.coeffs + r.coeffs])
+        case Div(_, t):
+            fv = frozenset([v for v, _ in t.coeffs])
+        case Pred(_, _, args):
+            fv = frozenset([v for t in args for v, _ in t.coeffs])
         case Not(arg):
-            return free_vars(arg)
+            fv = free_vars(arg)
         case And(args) | Or(args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= free_vars(a)
-            return out
+            fv = frozenset().union(*[free_vars(a) for a in args])
         case Implies(l, r) | Iff(l, r):
-            return free_vars(l) | free_vars(r)
+            fv = free_vars(l) | free_vars(r)
         case Exists(v, body) | Forall(v, body):
-            return free_vars(body) - {v}
+            fv = free_vars(body) - {v}
+        case Bool():
+            fv = frozenset()
+    fv = _share(fv)
+    _set_fv(f, fv)
+    return fv
 
 
 def bound_vars(f: Formula) -> frozenset[str]:
@@ -569,7 +675,7 @@ def to_nnf(f: Formula, int_var: Callable[[str], bool] = lambda v: False) -> Form
     def neg(g: Formula) -> Formula:
         match g:
             case Bool(b):
-                return Bool(not b)
+                return FALSE if b else TRUE
             case Lt(l, r):
                 return negate_atom(g, any(int_var(v) for v, _ in l.coeffs + r.coeffs))
             case Eq() | Div() | Pred():

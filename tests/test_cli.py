@@ -314,6 +314,29 @@ def test_decompose_at_missing_parameter_exits_three(capsys):
     assert err == "qomin: unbound variable(s): y\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--theory", "pres_z", "x < 1", "--at", "x=1,x=2"],
+    ["eval", "--theory", "pres_z", "x < 1", "--at", "x=1, y=0, x = 1"],
+    ["decompose", "--theory", "pres_z", "x < y", "--var", "x", "--at", "y=1,y=2"],
+], ids=["eval-last-would-win", "eval-spaced", "decompose"])
+def test_repeated_binding_exits_three(capsys, argv):
+    # the last binding used to win: x=1,x=2 printed "value": false for x < 1
+    code, out, err = capture(capsys, argv)
+    at = argv[argv.index("--at") + 1]
+    assert (code, out) == (3, "")
+    assert err == f"qomin: variable {at.split('=')[0]!r} is bound twice in {at!r}\n"
+
+
+@pytest.mark.parametrize("theory,text", [
+    ("pres_z", "1/2"), ("pres_n", "x"), ("doag_q", "1.5.2"), ("lex_zz", "(1,1/2)"),
+    ("lex_zq", "(1/2,0)"),
+])
+def test_element_text_of_another_kind_names_the_theory(capsys, theory, text):
+    code, out, err = capture(capsys, ["eval", "--theory", theory, "x = x", "--at", f"x={text}"])
+    assert (code, out) == (3, "")
+    assert err == f"qomin: {text!r} is not an element of the {theory} model\n"
+
+
 def test_n_zero_is_a_value(capsys):
     code, _, err = capture(capsys, ["density", "--n", "0"])
     assert (code, err) == (3, "qomin: n must be >= 2\n")

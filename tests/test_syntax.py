@@ -1,4 +1,8 @@
-"""Parser, printer, term normalization, substitution, NNF."""
+"""Parser, printer, term normalization, substitution, NNF, node contract."""
+
+import copy
+import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +12,8 @@ from qomin.errors import ParseError, SignatureError
 from qomin.models import Window, eval_qf, eval_windowed
 from qomin.qe import dnf
 from qomin.syntax import (
-    TRUE, And, Div, Eq, Exists, Forall, Iff, Implies, Lt, Not, Or, Pred, Solved,
-    Term, Theory, free_vars, parse, print_formula, rebuild, solve_for,
+    TRUE, And, Bool, Div, Eq, Exists, Forall, Iff, Implies, Lt, Not, Or, Pred,
+    Solved, Term, Theory, free_vars, parse, print_formula, rebuild, solve_for,
     standardize, substitute, to_nnf, validate,
 )
 
@@ -362,3 +366,143 @@ def test_solve_for_keeps_truth(kind, lv, ly, rv, ry, c, m, vval, yval):
         assert "v" not in free_vars(s)
     asg = {"v": vval, "y": yval}
     assert eval_qf(Z, s, asg) == eval_qf(Z, lit, asg)
+
+
+# ---------------------------------------------------------------------------
+# Node contract: one table over the thirteen node classes.  The checks are
+# plain functions without fixtures, so they also run without pytest.
+
+
+def _v(name: str) -> Term:
+    return Term.var(name)
+
+
+# one builder per node class; each call builds a fresh node, equal to the last
+_NODE_TABLE = [
+    lambda: Term((("x", 2), ("y", -1)), (("1", 3),)),
+    lambda: Lt(_v("x"), _v("y") + Term.const(1)),
+    lambda: Eq(_v("x"), _v("y")),
+    lambda: Div(3, _v("x") + Term.const(1)),
+    lambda: Pred("S", 2, (_v("x"), _v("y"))),
+    lambda: Bool(False),
+    lambda: Not(Div(2, _v("z"))),
+    lambda: And((Lt(_v("x"), _v("y")), Not(Div(2, _v("z"))), Exists("u", Eq(_v("u"), _v("x"))))),
+    lambda: Or((Eq(_v("x"), _v("y")), Lt(_v("y"), _v("x")))),
+    lambda: Implies(Lt(_v("x"), _v("y")), Pred("Qp", None, (_v("w"),))),
+    lambda: Iff(Div(2, _v("x")), Not(Div(2, _v("x") + Term.const(1)))),
+    # shadowed binders: an inner quantifier rebinds the outer one's variable
+    lambda: Exists("x", And((Lt(_v("x"), _v("y")), Exists("x", Eq(_v("x"), _v("z")))))),
+    lambda: Forall("y", Or((Lt(_v("y"), _v("x")), Forall("y", Eq(_v("y"), _v("y")))))),
+]
+
+
+def _raises(exc, fn, *args) -> bool:
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+
+def _free_vars_reference(f) -> frozenset:
+    """The recursive definition, without the memo."""
+    match f:
+        case Lt(l, r) | Eq(l, r):
+            return l.variables() | r.variables()
+        case Div(_, t):
+            return t.variables()
+        case Pred(_, _, args):
+            return frozenset().union(*(t.variables() for t in args))
+        case Bool():
+            return frozenset()
+        case Not(arg):
+            return _free_vars_reference(arg)
+        case And(args) | Or(args):
+            return frozenset().union(*(_free_vars_reference(a) for a in args))
+        case Implies(l, r) | Iff(l, r):
+            return _free_vars_reference(l) | _free_vars_reference(r)
+        case Exists(v, body) | Forall(v, body):
+            return _free_vars_reference(body) - {v}
+
+
+def test_node_table_covers_every_node_class():
+    assert [type(make()) for make in _NODE_TABLE] == [
+        Term, Lt, Eq, Div, Pred, Bool, Not, And, Or, Implies, Iff, Exists, Forall]
+
+
+def test_node_equal_nodes_have_equal_hashes_before_and_after_caching():
+    for make in _NODE_TABLE:
+        a, b = make(), make()
+        assert a == b and a is not b
+        first = hash(a)          # computed, and kept in a
+        assert hash(b) == first  # b computes its own
+        assert hash(a) == hash(b) == first
+        assert len({a, b, make()}) == 1
+
+
+def test_node_equality_is_class_sensitive():
+    x, y = _v("x"), _v("y")
+    for a, b in [(Lt(x, y), Eq(x, y)), (And((TRUE,)), Or((TRUE,))),
+                 (Implies(TRUE, TRUE), Iff(TRUE, TRUE)),
+                 (Exists("x", TRUE), Forall("x", TRUE))]:
+        hash(a), hash(b)
+        assert a != b and b != a
+        assert len({a, b}) == 2
+
+
+def test_node_construction_repr_and_match_args():
+    assert Term() == Term((), ()) == Term.zero()
+    assert Term((("x", 1),)) == _v("x")
+    assert repr(Lt(_v("x"), Term())) == (
+        "Lt(left=Term(coeffs=(('x', 1),), consts=()), right=Term(coeffs=(), consts=()))")
+    for make in _NODE_TABLE:
+        node = make()
+        names = tuple(f.name for f in dataclasses.fields(node))
+        assert type(node).__match_args__ == names
+        assert type(node)(*(getattr(node, n) for n in names)) == node
+        assert eval(repr(node)) == node
+
+
+def test_node_assignment_raises_frozen_instance_error():
+    for make in _NODE_TABLE:
+        node = make()
+        hash(node)
+        for name in [f.name for f in dataclasses.fields(node)] + ["_hash", "_fv", "other"]:
+            assert _raises(dataclasses.FrozenInstanceError, setattr, node, name, None)
+            assert _raises(dataclasses.FrozenInstanceError, delattr, node, name)
+        assert node == make() and hash(node) == hash(make())
+
+
+def test_node_div_modulus_check():
+    for m in (1, 0, -2):
+        assert _raises(ValueError, Div, m, _v("x"))
+    assert Div(2, _v("x")).modulus == 2
+
+
+def test_node_pickle_and_deepcopy_round_trip():
+    for make in _NODE_TABLE:
+        for warm in (False, True):
+            node = make()
+            if warm:  # caches filled before the copy
+                hash(node)
+                if not isinstance(node, Term):
+                    free_vars(node)
+            for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+                assert twin == node and type(twin) is type(node)
+                assert hash(twin) == hash(node)
+                assert repr(twin) == repr(node)
+                if not isinstance(node, Term):
+                    assert free_vars(twin) == free_vars(node)
+
+
+def test_node_free_vars_match_the_recursive_definition():
+    formulas = [f for f in (make() for make in _NODE_TABLE) if not isinstance(f, Term)]
+    formulas += [f for _, f in _corpus_formulas()]
+    formulas += [Exists("x", And((Lt(_v("x"), _v("y")), Forall("y", Eq(_v("y"), _v("x")))))),
+                 And((Lt(_v("x"), _v("y")), Exists("x", Eq(_v("x"), _v("z")))))]
+    assert free_vars(formulas[-2]) == {"y"} and free_vars(formulas[-1]) == {"x", "y", "z"}
+    for f in formulas:
+        want = _free_vars_reference(f)
+        assert free_vars(f) == want  # fills the memo
+        assert free_vars(f) == want  # reads it
+        assert free_vars(copy.deepcopy(f)) is free_vars(f)  # equal sets are shared
