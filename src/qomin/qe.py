@@ -316,11 +316,32 @@ def _integer_sort(theory: Theory, sorts=()) -> Callable[[str], bool]:
 # Cooper's algorithm for Presburger arithmetic
 
 
+def _integer(t: Term) -> int | None:
+    """t's value when t is an integer, a multiple of the constant 1 alone."""
+    if t.coeffs:
+        return None
+    ks = t.consts
+    if not ks:
+        return 0
+    return ks[0][1] if len(ks) == 1 and ks[0][0] == "1" else None
+
+
+def _lt(l: Term, r: Term) -> Formula:
+    """l < r, decided when both sides are integers."""
+    a = _integer(l)
+    b = None if a is None else _integer(r)
+    if b is None:
+        return Lt(l, r)
+    return TRUE if a < b else FALSE
+
+
 def _div_lit(m: int, t: Term, positive: bool) -> Formula:
-    """D_m(t), or its negation when positive is False; D_1 is true."""
-    if m < 2:
-        return TRUE if positive else FALSE
-    return Div(m, t) if positive else Not(Div(m, t))
+    """D_m(t), or its negation when positive is False, decided when m is 1
+    or t is an integer."""
+    k = 0 if m < 2 else _integer(t)
+    if k is None:
+        return Div(m, t) if positive else Not(Div(m, t))
+    return TRUE if (k % m == 0) is positive else FALSE
 
 
 def _classify(v: str, lits: tuple[Formula, ...], accepts) -> tuple[list, ...]:
@@ -391,7 +412,7 @@ def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
                                f"{len(cands) + 1} branches, beyond the internal cap")
 
     def instance(y: Term, bounded: bool) -> Formula:
-        parts = [Lt(t, y) for t in lows] + [Lt(y, t) for t in ups] if bounded else []
+        parts = [_lt(t, y) for t in lows] + [_lt(y, t) for t in ups] if bounded else []
         return and_(*parts, *(_div_lit(m, y + t, pos) for m, t, pos in dv))
 
     shifts = [Term.const(sign * j) for j in range(1, period + 1)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import ParseError, SignatureError
 
@@ -605,8 +605,7 @@ def negate_atom(a: Atom, integer: bool = False) -> Formula:
             return Not(a)
 
 
-@dataclass(frozen=True)
-class Solved:
+class Solved(NamedTuple):
     """A literal solved for a variable v, with a > 0 and t free of v.
 
     kind 'upper' is a*v < t, 'lower' is t < a*v, 'eq' is a*v = t, and 'div'
@@ -626,23 +625,31 @@ def solve_for(lit: Formula, v: str) -> Solved | Formula:
     A literal that does not mention v, or that has another shape, comes back
     unchanged.  When v's coefficients cancel (u + y < u + z) the v-free
     literal l - r < 0 or l - r = 0 comes back; only Lt and Eq can cancel,
-    because Term drops zero coefficients.
+    because Term drops zero coefficients.  Otherwise the solved term is
+    built in one pass over the pairs of l - r (or of r - l, when v's
+    coefficient in l - r is positive).
     """
     match lit:
         case Lt(l, r) | Eq(l, r):
             lc, rc = l.coeff(v), r.coeff(v)
             if lc == rc:
                 return lit if lc == 0 else type(lit)(l - r, Term.zero())
-            n, t = lc - rc, (l - r).drop_var(v)
+            n = lc - rc
+            if n > 0:
+                l, r = r, l
+            t = Term(tuple([p for p in _combine(l.coeffs, r.coeffs, -1) if p[0] != v]),
+                     _combine(l.consts, r.consts, -1))
             if isinstance(lit, Eq):
-                return Solved("eq", abs(n), -t if n > 0 else t)
-            return Solved("upper", n, -t) if n > 0 else Solved("lower", -n, t)
+                return Solved("eq", abs(n), t)
+            return Solved("upper", n, t) if n > 0 else Solved("lower", -n, t)
         case Div(m, arg) | Not(Div(m, arg)):
             n = arg.coeff(v)
             if n == 0:
                 return lit
-            t = arg.drop_var(v)
-            return Solved("div", abs(n), t if n > 0 else -t, m, isinstance(lit, Div))
+            k = 1 if n > 0 else -1
+            t = Term(tuple([(x, k * c) for x, c in arg.coeffs if x != v]),
+                     arg.consts if k == 1 else tuple([(x, -c) for x, c in arg.consts]))
+            return Solved("div", abs(n), t, m, isinstance(lit, Div))
     return lit
 
 

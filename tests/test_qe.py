@@ -856,6 +856,40 @@ def test_e_a_row_needs_few_cooper_calls(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Cooper's literal builders decide a ground literal as they build it, to the
+# value that simplify gives the plain atom
+
+_GROUND = [Term.const(k) for k in range(-6, 7)]
+
+
+def test_lt_builder_agrees_with_simplify():
+    for l in _GROUND:
+        for r in _GROUND:
+            assert qe_module._lt(l, r) == simplify(Lt(l, r)), (l, r)
+            # the negation, as the integer-sorted negate_atom builds it
+            assert qe_module._lt(r, l + _one) == simplify(Not(Lt(l, r))), (l, r)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("positive", [True, False])
+def test_div_builder_agrees_with_simplify(m, positive):
+    for t in _GROUND:
+        lit = qe_module._div_lit(m, t, positive)
+        if m == 1:  # D_1 holds everywhere
+            assert lit == (TRUE if positive else FALSE)
+        else:
+            assert lit == simplify(Div(m, t) if positive else Not(Div(m, t))), t
+
+
+@pytest.mark.parametrize("l,r", [(_x, _one), (_one, _x + _one), (_z1, _two), (_one, _pp1)])
+def test_builders_keep_literals_that_are_not_integer(l, r):
+    # a variable, or a constant other than 1, leaves the literal to simplify
+    assert qe_module._lt(l, r) == Lt(l, r)
+    assert qe_module._div_lit(3, l + r, True) == Div(3, l + r)
+    assert qe_module._div_lit(3, l + r, False) == Not(Div(3, l + r))
+
+
+# ---------------------------------------------------------------------------
 # The interval prune of _eliminate: a DNF conjunct whose Lt/Eq literals bound
 # one primitive linear form to an empty interval is dropped before the engine
 # runs.  Over the integers strict bounds are tightened and an equality needs

@@ -368,6 +368,46 @@ def test_solve_for_keeps_truth(kind, lv, ly, rv, ry, c, m, vval, yval):
     assert eval_qf(Z, s, asg) == eval_qf(Z, lit, asg)
 
 
+def _solve_for_reference(lit, v):
+    """solve_for by its three-step definition: l - r, then drop_var, then
+    the negation when v's coefficient is positive."""
+    match lit:
+        case Lt(l, r) | Eq(l, r):
+            lc, rc = l.coeff(v), r.coeff(v)
+            if lc == rc:
+                return lit if lc == 0 else type(lit)(l - r, Term.zero())
+            n, t = lc - rc, (l - r).drop_var(v)
+            if isinstance(lit, Eq):
+                return Solved("eq", abs(n), -t if n > 0 else t)
+            return Solved("upper", n, -t) if n > 0 else Solved("lower", -n, t)
+        case Div(m, arg) | Not(Div(m, arg)):
+            n = arg.coeff(v)
+            if n == 0:
+                return lit
+            t = arg.drop_var(v)
+            return Solved("div", abs(n), t if n > 0 else -t, m, isinstance(lit, Div))
+    return lit
+
+
+_side = st.fixed_dictionaries({"v": _small, "y": _small, "z": _small})
+_consts = st.fixed_dictionaries({s: _small for s in ("1", "1Z", "1p", "1pp")})
+
+
+@given(st.sampled_from(["lt", "eq", "div", "ndiv"]), _side, _consts, _side, _consts,
+       st.integers(2, 5))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_solve_for_matches_three_step_reference(kind, lv, lk, rv, rk, m):
+    # equal v coefficients on both sides cancel; every constant symbol of
+    # the roster occurs, as normal_form._rho_of solves lex literals
+    left, right = Term.make(lv, lk), Term.make(rv, rk)
+    if kind in ("lt", "eq"):
+        lit = (Lt if kind == "lt" else Eq)(left, right)
+    else:
+        lit = Div(m, left - right)
+        lit = lit if kind == "div" else Not(lit)
+    assert solve_for(lit, "v") == _solve_for_reference(lit, "v")
+
+
 # ---------------------------------------------------------------------------
 # Node contract: one table over the thirteen node classes.  The checks are
 # plain functions without fixtures, so they also run without pytest.
