@@ -410,6 +410,11 @@ def _cooper_exists(v: str, lits: tuple[Formula, ...]) -> Formula:
     if period * (len(cands) + 1) > _DNF_CAP:
         raise ResourceCapError(f"Cooper elimination of {v} needs {period} x "
                                f"{len(cands) + 1} branches, beyond the internal cap")
+    if not cands and all(pos for _, _, pos in dv):
+        # v = -t_i (mod m_i) for every i has a solution iff each pair of
+        # congruences agrees modulo the gcd of their moduli (Ore 1952)
+        return and_(*rest, *(_div_lit(math.gcd(m, n), t - u, True)
+                             for i, (m, t, _) in enumerate(dv) for n, u, _ in dv[i + 1:]))
 
     def instance(y: Term, bounded: bool) -> Formula:
         parts = [_lt(t, y) for t in lows] + [_lt(y, t) for t in ups] if bounded else []

@@ -1,6 +1,7 @@
 """Quantifier elimination engines, the divisibility/floor identities, and
 sentence decision."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -853,6 +854,30 @@ def test_e_a_row_needs_few_cooper_calls(monkeypatch):
     text = "E u. -7 < u & u < -4 & (A v. 4 < v & v < 8 -> (2*v <= -1 <-> 2*v - u <= 3))"
     assert print_formula(qe(Z, parse(text, Z))) == "true"
     assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("m,n", [(7, 5), (31, 29), (97, 89)])
+def test_one_sided_divisibilities_need_no_branches(m, n, monkeypatch):
+    # y has a lower bound only, so Cooper takes the unbounded side; its
+    # positive divisibilities are decided by the Chinese remainder theorem,
+    # where one branch per residue made 900 Cooper calls for D31/D29
+    calls = _count_cooper_calls(monkeypatch)
+    text = f"E x. E y. D{m}(x + y) & D{n}(x - y) & z < x & z < y"
+    start = time.perf_counter()
+    assert print_formula(qe(Z, parse(text, Z))) == "true"
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("bound", ["", " & y < v", " & v < y", " & ~D2(v + y)"])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (3, 3), (3, 6), (4, 4), (4, 6)])
+def test_one_sided_divisibilities_agree_with_oracle(m, n, bound):
+    # Cooper's period is at most 24, so the search window holds a witness
+    # above (below) every assignment whenever one exists
+    for c in range(-1, 3):
+        text = f"E v. D{m}(v + y + {c}) & D{n}(2*v - y){bound}"
+        total, mismatches = oracle_agreement(Z, parse(text, Z), Window(-4, 4), Window(-40, 40))
+        assert total > 0 and not mismatches, text
 
 
 # ---------------------------------------------------------------------------
