@@ -51,7 +51,13 @@ def _parse_window(text: str, theory: Theory) -> Window:
         raise EvalError(f"window must be 'lo,hi[,denom]', got {text!r}")
     lo = models.parse_element(parts[0], theory)
     hi = models.parse_element(parts[1], theory)
-    denom = int(parts[2]) if len(parts) == 3 else 1
+    try:
+        denom = int(parts[2]) if len(parts) == 3 else 1
+    except ValueError:
+        denom = 0
+    if denom < 1:
+        raise EvalError(f"window denominator bound {parts[2].strip()!r} is not a positive "
+                        f"integer in {text!r}")
     pairs = zip(lo, hi) if isinstance(lo, tuple) else [(lo, hi)]
     if any(a > b for a, b in pairs):
         raise EvalError(f"window lower end exceeds its upper end in {text!r}")

@@ -279,6 +279,21 @@ def test_zero_denominator_exits_three(capsys, argv):
     assert err == "qomin: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("argv,window,bad", [
+    (["eval", "--theory", "doag_q", "E u. u < x", "--at", "x=0", "--window", "-2,2,x"],
+     "-2,2,x", "x"),
+    (["density", "--n", "3", "--window", "-1,1,q"], "-1,1,q", "q"),
+    (["density", "--n", "3", "--window", "-1,1,0"], "-1,1,0", "0"),
+    (["verify", "--theory", "doag_q", "E u. u < x", "--asg-window", "-1,1,1.5"],
+     "-1,1,1.5", "1.5"),
+], ids=["eval-name", "density-name", "density-zero", "verify-fraction"])
+def test_window_denominator_must_be_positive_integer(capsys, argv, window, bad):
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == (f"qomin: window denominator bound {bad!r} is not a positive "
+                   f"integer in {window!r}\n")
+
+
 @pytest.mark.parametrize("argv,window", [
     (["verify", "--theory", "pres_z", "E u. u = x", "--asg-window", "3,1"], "3,1"),
     (["eval", "--theory", "pres_z", "E u. u = u", "--window", "4,-4"], "4,-4"),
