@@ -2,6 +2,7 @@
 """Interleaved A/B passes of one benchmark workload, both sides in one process.
 
     python scripts/ab_passes.py OLD NEW WORKLOAD [--reps N] [--seed S] [--median-ops K]
+                                [--setup-reps K]
 
 OLD and NEW are checkouts of this repository; WORKLOAD is sweep, eliminate
 or cli.  The `qomin` package of each checkout is loaded side by side, and
@@ -16,6 +17,11 @@ script also prints the quartiles of the per-op ratio NEW/OLD, which show
 whether small ops gain or lose with large ones, and with --median-ops K the
 K ops nearest OLD's median op, each with its latency on both sides.
 
+With --setup-reps K the script first runs each checkout's
+`perfbench/run.py --setup-only` K times in fresh processes, the side that
+goes first alternating, and reports each side's median `setup_s` (import,
+compile and building the ops) and their ratio.
+
 Each side first makes one untimed pass, judged by its ops' own checks; a
 failed op exits 1.  Outputs that differ between the sides (by repr) are counted, not failed,
 since a change may legitimately change an output.  The last line of stdout
@@ -28,6 +34,7 @@ import argparse
 import gc
 import json
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -63,6 +70,21 @@ def load_side(checkout: Path, workload: str, seed: int) -> list:
     finally:
         del sys.path[:2]
         _forget_side_modules()
+
+
+def setup_times(checkouts: dict[str, Path], workload: str, seed: int, reps: int) -> dict:
+    """Each side's set-up seconds, reps fresh processes of its own
+    perfbench/run.py --setup-only, the side that goes first alternating."""
+    times: dict[str, list[float]] = {name: [] for name in checkouts}
+    for rep in range(reps):
+        for name in (("old", "new") if rep % 2 == 0 else ("new", "old")):
+            cmd = [sys.executable, str(checkouts[name] / "perfbench" / "run.py"), "--workload",
+                   workload, "--seed", str(seed), "--seconds", "1", "--setup-only"]
+            done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+            if done.returncode:
+                sys.exit(f"ab_passes: {name} set-up failed:\n{done.stderr}")
+            times[name].append(float(done.stdout.split()[-1]))
+    return times
 
 
 def run_pass(ops) -> tuple[list[int], list, list[str | None]]:
@@ -114,9 +136,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--median-ops", type=int, default=0, metavar="K",
                         help="list the K ops nearest OLD's median op")
+    parser.add_argument("--setup-reps", type=int, default=0, metavar="K",
+                        help="also time K set-ups of each side in fresh processes")
     args = parser.parse_args()
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.setup_reps < 0:
+        parser.error("--setup-reps must not be negative")
+    setups = setup_times({"old": args.old, "new": args.new}, args.workload, args.seed,
+                         args.setup_reps)
 
     sides = {"old": load_side(args.old, args.workload, args.seed),
              "new": load_side(args.new, args.workload, args.seed)}
@@ -144,6 +172,8 @@ def main() -> int:
               "ops": len(sides["old"]), "failed": len(failed), "outputs_differ": differ}
     for name in sides:
         result[name] = summary(per_op[name])
+        if args.setup_reps:
+            result[name]["setup_s"] = statistics.median(setups[name])
     ratios = sorted(b / a for a, b in zip(per_op["old"], per_op["new"]))
     result["per_op_ratio_quartiles"] = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     order = sorted(range(len(ratios)), key=per_op["old"].__getitem__)
@@ -154,7 +184,7 @@ def main() -> int:
 
     print(f"workload {args.workload} seed {args.seed}: {result['ops']} ops, {args.reps} "
           f"interleaved rounds, {len(failed)} failed, {differ} outputs differ")
-    for metric in ("ops_per_s", "op_p50_ms", "op_tail_ms"):
+    for metric in ("ops_per_s", "op_p50_ms", "op_tail_ms", "setup_s")[:4 if args.setup_reps else 3]:
         old, new = result["old"][metric], result["new"][metric]
         print(f"  {metric:10s} old {old:10.4f}  new {new:10.4f}  new/old {new / old:6.3f}")
     q1, q2, q3 = result["per_op_ratio_quartiles"]
