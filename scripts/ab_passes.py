@@ -184,7 +184,7 @@ def main() -> int:
 
     print(f"workload {args.workload} seed {args.seed}: {result['ops']} ops, {args.reps} "
           f"interleaved rounds, {len(failed)} failed, {differ} outputs differ")
-    for metric in ("ops_per_s", "op_p50_ms", "op_tail_ms", "setup_s")[:4 if args.setup_reps else 3]:
+    for metric in ("ops_per_s", "op_p50_ms", "op_tail_ms") + (("setup_s",) if args.setup_reps else ()):
         old, new = result["old"][metric], result["new"][metric]
         print(f"  {metric:10s} old {old:10.4f}  new {new:10.4f}  new/old {new / old:6.3f}")
     q1, q2, q3 = result["per_op_ratio_quartiles"]

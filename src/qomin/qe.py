@@ -341,7 +341,7 @@ def _div_lit(m: int, t: Term, positive: bool) -> Formula:
     k = 0 if m < 2 else _integer(t)
     if k is None:
         return Div(m, t) if positive else Not(Div(m, t))
-    return TRUE if (k % m == 0) is positive else FALSE
+    return TRUE if (k % m == 0) == positive else FALSE
 
 
 def _classify(v: str, lits: tuple[Formula, ...], accepts) -> tuple[list, ...]:
