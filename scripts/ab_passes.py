@@ -14,8 +14,11 @@ sides alike here.  Every op's latency is its median over the rounds, and
 the end-to-end metrics are computed from those medians with the formulas of
 `perfbench/metrics.py`: `ops_per_s`, `op_p50_ms` and `op_tail_ms`.  The
 script also prints the quartiles of the per-op ratio NEW/OLD, which show
-whether small ops gain or lose with large ones, and with --median-ops K the
-K ops nearest OLD's median op, each with its latency on both sides.
+whether small ops gain or lose with large ones, and the quartiles of the
+per-round ratio of the two sides' pass wall times: a change of the machine's
+state during the run, which moves only the passes made after it, shows there
+as a wide spread.  With --median-ops K the script lists the K ops nearest
+OLD's median op, each with its latency on both sides.
 
 With --setup-reps K the script first runs each checkout's
 `perfbench/run.py --setup-only` K times in fresh processes, the side that
@@ -127,6 +130,10 @@ def summary(per_op: list[float]) -> dict:
     }
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -175,7 +182,9 @@ def main() -> int:
         if args.setup_reps:
             result[name]["setup_s"] = statistics.median(setups[name])
     ratios = sorted(b / a for a, b in zip(per_op["old"], per_op["new"]))
-    result["per_op_ratio_quartiles"] = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    result["per_op_ratio_quartiles"] = _quartiles(ratios)
+    rounds = [sum(b) / sum(a) for a, b in zip(lats["old"], lats["new"])]
+    result["per_round_ratio_quartiles"] = _quartiles(rounds)
     order = sorted(range(len(ratios)), key=per_op["old"].__getitem__)
     start = max(0, len(order) // 2 - args.median_ops // 2)
     result["median_ops"] = [
@@ -189,6 +198,8 @@ def main() -> int:
         print(f"  {metric:10s} old {old:10.4f}  new {new:10.4f}  new/old {new / old:6.3f}")
     q1, q2, q3 = result["per_op_ratio_quartiles"]
     print(f"  per-op latency new/old: quartiles {q1:.3f} {q2:.3f} {q3:.3f}")
+    q1, q2, q3 = result["per_round_ratio_quartiles"]
+    print(f"  per-round pass time new/old: quartiles {q1:.3f} {q2:.3f} {q3:.3f}")
     for row in result["median_ops"]:
         print(f"  {row['old_ms']:8.4f} ms -> {row['new_ms']:8.4f} ms  {row['op']}")
     for line in failed[:10]:

@@ -165,14 +165,21 @@ def eventual_classes(theory: Theory, theta: Formula, params: list, direction: st
     dec = decompose(theory, theta, var)
     eventual_op = "above" if direction == POS else "below"
 
+    # each eligible disjunct's psi is compiled on its first use, after the
+    # element checks that eval_windowed makes, and reused for every tuple
+    eligible = [(i, d.psi) for i, d in enumerate(dec.disjuncts)
+                if all(op == eventual_op for op, _ in d.rho)]
+    compiled = {}
     groups: dict[frozenset, list] = {}
     for abar in params:
         asg = dec.assignment(abar)
         active = set()
-        for i, d in enumerate(dec.disjuncts):
-            if not all(op == eventual_op for op, _ in d.rho):
-                continue
-            if models.eval_windowed(theory, d.psi, asg, w):
+        for i, psi in eligible:
+            models.check_assignment(theory, psi, asg)
+            fn = compiled.get(i)
+            if fn is None:
+                fn = compiled[i] = models.compile_eval(theory, psi, w)
+            if fn(dict(asg)):
                 active.add(i)
         groups.setdefault(frozenset(active), []).append(abar)
 

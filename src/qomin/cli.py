@@ -7,11 +7,10 @@ Exit codes: 0 success (or decided true), 1 decided false, 2 usage error,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import analyzer, corpus, models, normal_form
 from .errors import (
@@ -21,11 +20,15 @@ from .errors import (
 from .models import Window
 from .qe import ComponentFormula, decide, oracle_agreement, qe
 from .syntax import (
-    Formula, Pred, Theory, free_vars, is_quantifier_free, map_atoms, parse,
-    print_formula, substitute,
+    _RESERVED, _VAR_RE, Formula, Pred, Theory, free_vars, is_quantifier_free, map_atoms,
+    parse, print_formula, substitute,
 )
 
 SCHEMA = 1
+
+
+class _UsageError(Exception):
+    """A malformed command line: the CLI prints the message and exits 2."""
 
 
 def _split_top(text: str, sep: str = ",") -> list[str]:
@@ -71,6 +74,8 @@ def _parse_at(text: str, theory: Theory) -> dict:
             raise EvalError(f"bindings look like 'y=(1,0)' or 'y=3', got {item!r}")
         name, _, value = item.partition("=")
         name = name.strip()
+        if not _VAR_RE.fullmatch(name) or name in _RESERVED:
+            raise EvalError(f"binding {item!r} does not name a variable")
         if name in out:
             raise EvalError(f"variable {name!r} is bound twice in {text!r}")
         out[name] = models.parse_element(value, theory)
@@ -82,11 +87,11 @@ def _window_cap() -> int | None:
     return int(raw) if raw else None
 
 
-def _read_formula(args, parser) -> tuple[str, Theory]:
+def _read_formula(args) -> tuple[str, Theory]:
     """Formula text and theory from the positional/--formula/--file flags."""
-    texts = [t for t in (args.formula_pos, getattr(args, "formula", None)) if t]
+    texts = [t for t in (args.formula_pos, args.formula) if t]
     theory_name = args.theory
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file) as fh:
             lines = fh.read().splitlines()
         body = []
@@ -97,9 +102,9 @@ def _read_formula(args, parser) -> tuple[str, Theory]:
                 body.append(line.strip())
         texts.append(" ".join(body))
     if len(texts) != 1:
-        parser.error("provide exactly one formula (positional, --formula, or --file)")
+        raise _UsageError("provide exactly one formula (positional, --formula, or --file)")
     if not theory_name:
-        parser.error("--theory is required (or a '#theory:' header in the file)")
+        raise _UsageError("--theory is required (or a '#theory:' header in the file)")
     return texts[0], Theory.from_name(theory_name)
 
 
@@ -131,23 +136,24 @@ def _formula_out(out) -> str:
 # verb handlers
 
 
-def _cmd_parse(args, parser) -> int:
-    text, theory = _read_formula(args, parser)
+def _cmd_parse(args) -> int:
+    text, theory = _read_formula(args)
     f = parse(text, theory)
     if args.expand_delta:
         f = _expand_delta(f, theory)
+    printed = print_formula(f)
     payload = {
         "theory": theory.value,
-        "formula": print_formula(f),
+        "formula": printed,
         "free_vars": sorted(free_vars(f)),
         "quantifier_free": is_quantifier_free(f),
     }
-    _emit(args, payload, [print_formula(f)])
+    _emit(args, payload, [printed])
     return 0
 
 
-def _cmd_qe(args, parser) -> int:
-    text, theory = _read_formula(args, parser)
+def _cmd_qe(args) -> int:
+    text, theory = _read_formula(args)
     f = parse(text, theory)
     out = qe(theory, f)
     payload = {
@@ -167,16 +173,16 @@ def _cmd_qe(args, parser) -> int:
     return 0
 
 
-def _cmd_decide(args, parser) -> int:
-    text, theory = _read_formula(args, parser)
+def _cmd_decide(args) -> int:
+    text, theory = _read_formula(args)
     f = parse(text, theory)
     truth = decide(theory, f)
     _emit(args, {"theory": theory.value, "truth": truth}, [str(truth).lower()])
     return 0 if truth else 1
 
 
-def _cmd_eval(args, parser) -> int:
-    text, theory = _read_formula(args, parser)
+def _cmd_eval(args) -> int:
+    text, theory = _read_formula(args)
     f = parse(text, theory)
     asg = _parse_at(args.at, theory) if args.at else {}
     if args.window:
@@ -190,10 +196,10 @@ def _cmd_eval(args, parser) -> int:
     return 0
 
 
-def _cmd_decompose(args, parser) -> int:
-    text, theory = _read_formula(args, parser)
+def _cmd_decompose(args) -> int:
+    text, theory = _read_formula(args)
     if not args.var:
-        parser.error("--var is required for decompose")
+        raise _UsageError("--var is required for decompose")
     f = parse(text, theory)
     dec = normal_form.decompose(theory, f, args.var)
     payload = {"theory": theory.value, "input": print_formula(f)}
@@ -210,7 +216,7 @@ def _cmd_decompose(args, parser) -> int:
         lines.append("witnesses: " + ", ".join(payload["witness_values"]))
         if args.verify:
             if not args.window:
-                parser.error("--verify needs --window")
+                raise _UsageError("--verify needs --window")
             w = _parse_window(args.window, theory)
             rep = normal_form.verify_decomposition(theory, f, dec, abar, w)
             payload["verification"] = rep.to_json()
@@ -219,8 +225,8 @@ def _cmd_decompose(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    text, theory = _read_formula(args, parser)
+def _cmd_verify(args) -> int:
+    text, theory = _read_formula(args)
     f = parse(text, theory)
     asg_w, search_w = corpus.windows(theory)
     if args.window:
@@ -247,11 +253,11 @@ def _cmd_verify(args, parser) -> int:
     return 0 if ok else 1
 
 
-def _cmd_classes(args, parser) -> int:
-    text, theory = _read_formula(args, parser)
+def _cmd_classes(args) -> int:
+    text, theory = _read_formula(args)
     f = parse(text, theory)
     if not args.params:
-        parser.error("--params is required (semicolon-separated tuples)")
+        raise _UsageError("--params is required (semicolon-separated tuples)")
     params = []
     for chunk in args.params.split(";"):
         vals = tuple(models.parse_element(p, theory) for p in _split_top(chunk))
@@ -266,7 +272,7 @@ def _cmd_classes(args, parser) -> int:
     return 0
 
 
-def _cmd_cuts(args, parser) -> int:
+def _cmd_cuts(args) -> int:
     theory = Theory.LEX_ZQ
     n = 1 if args.n is None else args.n
     cuts = [
@@ -292,14 +298,14 @@ def _cmd_cuts(args, parser) -> int:
         payload["subset"] = analyzer.cut_subset(c1, c2)
         lines.append(f"subset: {payload['subset']}")
     if not lines:
-        parser.error("cuts needs one of --exclude, --contains, --subset")
+        raise _UsageError("cuts needs one of --exclude, --contains, --subset")
     _emit(args, payload, lines)
     return 0
 
 
-def _cmd_density(args, parser) -> int:
+def _cmd_density(args) -> int:
     if args.n is None:
-        parser.error("--n is required")
+        raise _UsageError("--n is required")
     w = _parse_window(args.window or "-16,16,1024", Theory.DYADIC)
     res = models.parse_rational(args.resolution or "1/32")
     rep = analyzer.density_check(args.n, w, res, cap=_window_cap())
@@ -311,8 +317,8 @@ def _cmd_density(args, parser) -> int:
     return 0
 
 
-def _cmd_intervals(args, parser) -> int:
-    text, theory = _read_formula(args, parser)
+def _cmd_intervals(args) -> int:
+    text, theory = _read_formula(args)
     if theory != Theory.DOAG_Q:
         raise UnsupportedTheoryError("interval decomposition runs over doag_q")
     f = parse(text, theory)
@@ -348,9 +354,11 @@ _HANDLERS = {
 }
 
 
-# every option of every verb, as (flags, add_argument keywords)
+# every option of every verb, as (flags, keywords); the keywords are dest,
+# action (store_true), type, choices, default and help, and the one name
+# without dashes is the optional positional formula
 _OPTIONS: tuple[tuple[tuple[str, ...], dict], ...] = (
-    (("formula_pos",), {"nargs": "?", "help": "formula text"}),
+    (("formula_pos",), {"help": "formula text"}),
     (("--formula",), {}),
     (("--file",), {"help": "file with the formula; may carry a '#theory:' header"}),
     (("--theory",), {"help": "one of " + ", ".join(t.value for t in Theory)}),
@@ -373,56 +381,126 @@ _OPTIONS: tuple[tuple[tuple[str, ...], dict], ...] = (
     (("--resolution",), {"help": "interval length for density scans"}),
 )
 
-# the options that take a value: every flag not stored as true/false
-_VALUE_OPTIONS = frozenset(
-    flag for flags, kw in _OPTIONS if kw.get("action") != "store_true"
-    for flag in flags if flag.startswith("-")
-)
+
+def _dest(flags: tuple[str, ...], kw: dict) -> str:
+    return kw.get("dest", flags[0].lstrip("-").replace("-", "_"))
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, built on the first call and shared after:
-    building it costs far more than one parse."""
-    parser = argparse.ArgumentParser(
-        prog="qomin",
-        description="decision procedures, quantifier elimination, and witnessed "
-                    "interval normal forms over a fixed roster of ordered-group theories",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _HANDLERS:
-        p = sub.add_parser(verb)
-        for flags, kw in _OPTIONS:
-            p.add_argument(*flags, **kw)
-    return parser
+# each long flag's destination and keywords, and every destination's value
+# when its flag is absent
+_FLAGS = {flag: (_dest(flags, kw), kw) for flags, kw in _OPTIONS
+          for flag in flags if flag.startswith("--")}
+_DEFAULTS = {_dest(flags, kw): kw.get("default", False if kw.get("action") == "store_true" else None)
+             for flags, kw in _OPTIONS}
+
+_DESCRIPTION = ("decision procedures, quantifier elimination, and witnessed interval "
+                "normal forms over a fixed roster of ordered-group theories")
+_USAGE = "usage: qomin VERB [FORMULA] [--option VALUE | --flag]..."
 
 
-def _merge_flag_values(argv: list[str]) -> list[str]:
-    """Join value flags with their argument so values starting with '-'
-    (negative bounds, windows) survive argparse."""
-    out = []
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a in _VALUE_OPTIONS and i + 1 < len(argv):
-            out.append(f"{a}={argv[i + 1]}")
-            i += 2
+def _help_text() -> str:
+    rows = []
+    for flags, kw in _OPTIONS:
+        dest = _dest(flags, kw)
+        if not flags[0].startswith("-"):
+            name = "FORMULA"
+        elif kw.get("action") == "store_true":
+            name = ", ".join(flags)
+        elif "choices" in kw:
+            name = f"{', '.join(flags)} {{{','.join(kw['choices'])}}}"
         else:
-            out.append(a)
+            name = f"{', '.join(flags)} {dest.upper()}"
+        text = kw.get("help", "")
+        if "default" in kw:
+            text = f"{text} (default {kw['default']})".lstrip()
+        rows.append((name, text))
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([
+        _USAGE, "", _DESCRIPTION, "", "verbs: " + ", ".join(_HANDLERS), "",
+        "options (every verb takes every option):",
+        *(f"  {name:{width}}{text}".rstrip() for name, text in rows),
+    ])
+
+
+def _long_flag(name: str) -> str:
+    """The long flag that name spells, in full or as a unique prefix."""
+    if name in _FLAGS or name == "--help":
+        return name
+    found = [flag for flag in (*_FLAGS, "--help") if flag.startswith(name)]
+    if len(found) == 1:
+        return found[0]
+    if found:
+        raise _UsageError(f"ambiguous option {name}: could be {', '.join(found)}")
+    raise _UsageError(f"unrecognized option {name}")
+
+
+def _read_args(argv: list[str]) -> tuple[str, SimpleNamespace] | None:
+    """The verb and the options of argv, read against `_OPTIONS`, or None
+    when argv asks for help.  A value flag takes the next argument whatever
+    it looks like (`--window -2,2`), or the text after '=' (`--at=x=1`); a
+    long flag may be shortened to any unique prefix.  An argument that is not
+    a flag is the formula, as is one that starts with a single '-' and holds
+    a space (`-x < 1`), and so is every argument after '--'."""
+    if not argv or argv[0] not in _HANDLERS:
+        if argv and (argv[0] == "-h" or argv[0].startswith("--") and _long_flag(argv[0]) == "--help"):
+            return None
+        raise _UsageError(f"the first argument must be a verb: {', '.join(_HANDLERS)}")
+    values = dict(_DEFAULTS)
+    formula_only = False
+    i, n = 1, len(argv)
+    while i < n:
+        arg = argv[i]
+        i += 1
+        if formula_only or not arg.startswith("-") or arg == "-" or arg[1] != "-" and " " in arg:
+            if values["formula_pos"] is not None:
+                raise _UsageError(f"unexpected argument {arg!r}: give one formula")
+            values["formula_pos"] = arg
+            continue
+        if arg == "--":
+            formula_only = True
+            continue
+        if arg == "-h":
+            return None
+        if not arg.startswith("--"):
+            raise _UsageError(f"unrecognized option {arg}")
+        name, eq, value = arg.partition("=")
+        flag = _long_flag(name)
+        if flag == "--help":
+            return None
+        dest, kw = _FLAGS[flag]
+        if kw.get("action") == "store_true":
+            if eq:
+                raise _UsageError(f"{flag} takes no value")
+            values[dest] = True
+            continue
+        if not eq:
+            if i == n:
+                raise _UsageError(f"{flag} expects a value")
+            value = argv[i]
             i += 1
-    return out
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                raise _UsageError(f"{flag}: invalid value {value!r}") from None
+        if "choices" in kw and value not in kw["choices"]:
+            raise _UsageError(f"{flag}: {value!r} is not one of {', '.join(kw['choices'])}")
+        values[dest] = value
+    return argv[0], SimpleNamespace(**values)
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_flag_values(argv))
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
-        return _HANDLERS[args.verb](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
-        return 2 if exc.code else 0
+        read = _read_args(argv)
+        if read is None:
+            print(_help_text())
+            return 0
+        verb, args = read
+        return _HANDLERS[verb](args)
+    except _UsageError as exc:
+        print(f"{_USAGE}\nqomin: error: {exc}", file=sys.stderr)
+        return 2
     except ResourceCapError as exc:
         print(f"qomin: resource cap: {exc}", file=sys.stderr)
         return 4

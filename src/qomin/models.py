@@ -575,7 +575,8 @@ def compile_eval(theory: Theory, f: Formula,
     return run
 
 
-def _check_assignment(theory: Theory, f: Formula, asg: Mapping[str, Element]) -> None:
+def check_assignment(theory: Theory, f: Formula, asg: Mapping[str, Element]) -> None:
+    """Every free variable of f is bound, to an element of the theory's model."""
     missing = free_vars(f) - set(asg)
     if missing:
         raise EvalError(f"unbound variable(s): {', '.join(sorted(missing))}")
@@ -587,7 +588,7 @@ def eval_qf(theory: Theory, f: Formula, asg: Mapping[str, Element]) -> bool:
     """Evaluate a quantifier-free formula exactly."""
     if not is_quantifier_free(f):
         raise EvalError("formula contains quantifiers; use eval_windowed")
-    _check_assignment(theory, f, asg)
+    check_assignment(theory, f, asg)
     return compile_eval(theory, f)(dict(asg))
 
 
@@ -601,7 +602,7 @@ def eval_windowed(theory: Theory, f: Formula, asg: Mapping[str, Element],
     changing any quantifier's range and scales rationals to integers by a
     common multiple of every denominator in the window and the assignment.
     """
-    _check_assignment(theory, f, asg)
+    check_assignment(theory, f, asg)
     return compile_eval(theory, f, w, cap)(dict(asg))
 
 

@@ -810,233 +810,276 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
+# constant symbols, integers, names and operators, in the order of priority;
+# whitespace matches nothing, so `findall` drops it
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<lcz>1Z)
-  | (?P<lcpp>1pp)
-  | (?P<lcp>1p(?![a-z0-9_]))
-  | (?P<int>\d+)
-  | (?P<name>[a-zA-Z][a-zA-Z0-9_]*)
-  | (?P<op><->|->|<=|>=|[~&|()<>=+\-*,.])
-    """,
-    re.VERBOSE,
+    r"1Z|1pp|1p(?![a-z0-9_])|\d+|[a-zA-Z][a-zA-Z0-9_]*|<->|->|<=|>=|[~&|()<>=+\-*,.]"
 )
+_CONST_TOKENS = frozenset({"1Z", "1p", "1pp"})
+_INDEXED_PRED_RE = re.compile(r"(D|S|del)(\d+)")
+_RELATIONS = frozenset({"=", "<", ">", "<=", ">="})
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group(), pos))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for the end of the input."""
+    toks = _TOKEN_RE.findall(text)
+    if "".join(toks) != "".join(text.split()):
+        # findall skipped a character that starts no token: find the first
+        pos = 0
+        for m in _TOKEN_RE.finditer(text):
+            if text[pos:m.start()].strip():
+                break
+            pos = m.end()
+        while text[pos].isspace():
+            pos += 1
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    toks.append("")
+    return toks
+
+
+def _position(text: str, i: int) -> int:
+    """Where the i-th token of text starts; the end of text for the last."""
+    for n, m in enumerate(_TOKEN_RE.finditer(text)):
+        if n == i:
+            return m.start()
+    return len(text)
 
 
 class _Parser:
+    """Recursive descent over the tokens in one pass.  Each term is summed
+    into one coefficient map.  The parser makes the signature checks of
+    `validate` as it builds each atom; the bare-variable check of the
+    order-only theories is raised only once the whole text has parsed, as
+    `validate` after the parse would raise it.  It also records the binder
+    names and the names that occur free, for `parse` to decide whether
+    binders need renaming apart."""
+
     def __init__(self, text: str, theory: Theory):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.theory = theory
+        sig = _SIGNATURE[theory]
+        self.consts, self.preds = sig["consts"], sig["preds"]
+        self.group, self.div = sig["group"], sig["div"]
+        self.scope: list[str] = []   # the binders around the current token
+        self.binders: set[str] = set()
+        self.free: set[str] = set()
+        self.repeated = False        # some binder name is bound twice
+        self.not_a_variable: SignatureError | None = None
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def fail(self, message: str, i: int):
+        raise ParseError(message, _position(self.text, i))
 
     def expect(self, value: str) -> None:
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", pos)
+        tok = self.toks[self.i]
+        if tok != value:
+            self.fail(f"expected {value!r}, found {tok!r}", self.i)
+        self.i += 1
 
     def parse(self) -> Formula:
-        f = self.formula()
-        kind, val, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input {val!r}", pos)
+        f = self.iff()
+        tok = self.toks[self.i]
+        if tok:
+            self.fail(f"trailing input {tok!r}", self.i)
+        if self.not_a_variable is not None:
+            raise self.not_a_variable
         return f
 
     # formula := iff
-    def formula(self) -> Formula:
-        return self.iff()
-
     def iff(self) -> Formula:
         left = self.implies()
-        if self.peek()[1] == "<->":
-            self.next()
+        if self.toks[self.i] == "<->":
+            self.i += 1
             return Iff(left, self.iff())
         return left
 
     def implies(self) -> Formula:
         left = self.disj()
-        if self.peek()[1] == "->":
-            self.next()
+        if self.toks[self.i] == "->":
+            self.i += 1
             return Implies(left, self.implies())
         return left
 
     def disj(self) -> Formula:
-        parts = [self.conj()]
-        while self.peek()[1] == "|":
-            self.next()
+        f = self.conj()
+        if self.toks[self.i] != "|":
+            return f
+        parts = [f]
+        while self.toks[self.i] == "|":
+            self.i += 1
             parts.append(self.conj())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+        return Or(tuple(parts))
 
     def conj(self) -> Formula:
-        parts = [self.unary()]
-        while self.peek()[1] == "&":
-            self.next()
+        f = self.unary()
+        if self.toks[self.i] != "&":
+            return f
+        parts = [f]
+        while self.toks[self.i] == "&":
+            self.i += 1
             parts.append(self.unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+        return And(tuple(parts))
 
     def unary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "~":
-            self.next()
+        tok = self.toks[self.i]
+        if tok == "~":
+            self.i += 1
             return Not(self.unary())
-        if kind == "name" and val in ("E", "A"):
-            self.next()
-            vkind, vname, vpos = self.next()
-            if vkind != "name" or not _VAR_RE.fullmatch(vname) or vname in _RESERVED:
-                raise ParseError(f"bad quantified variable {vname!r}", vpos)
+        if tok == "E" or tok == "A":
+            self.i += 1
+            v = self.toks[self.i]
+            if not _VAR_RE.fullmatch(v) or v in _RESERVED:
+                self.fail(f"bad quantified variable {v!r}", self.i)
+            self.i += 1
             self.expect(".")
-            body = self.formula()
-            return Exists(vname, body) if val == "E" else Forall(vname, body)
+            if v in self.binders:
+                self.repeated = True
+            self.binders.add(v)
+            self.scope.append(v)
+            body = self.iff()
+            self.scope.pop()
+            return Exists(v, body) if tok == "E" else Forall(v, body)
         return self.primary()
 
     def primary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "(":
-            self.next()
-            f = self.formula()
+        tok = self.toks[self.i]
+        if tok == "(":
+            self.i += 1
+            f = self.iff()
             self.expect(")")
             return f
-        if kind == "name" and val in _RESERVED:
-            self.next()
-            return TRUE if val == "true" else FALSE
-        # predicate atoms
-        if kind == "name":
-            pf = self.pred_atom()
+        if tok == "true" or tok == "false":
+            self.i += 1
+            return TRUE if tok == "true" else FALSE
+        if tok[:1].isalpha() and self.toks[self.i + 1] == "(":
+            pf = self.pred_atom(tok)
             if pf is not None:
                 return pf
         return self.relation()
 
-    def pred_atom(self) -> Formula | None:
-        kind, val, pos = self.peek()
-        if self.toks[self.i + 1][1] != "(":
-            return None
-        if val in ("Qp", "P"):
-            self.next()
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return self._pred(val, None, (t,))
-        m = re.fullmatch(r"D(\d+)", val)
-        if m:
-            self.next()
-            mod = int(m.group(1))
-            if mod < 2:
-                raise ParseError(f"divisibility modulus must be >= 2, got {mod}", pos)
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            if not _SIGNATURE[self.theory]["div"]:
-                raise SignatureError(f"divisibility D{mod} not in the {self.theory.value} signature")
-            return Div(mod, t)
-        m = re.fullmatch(r"S(\d+)", val)
-        if m:
-            self.next()
-            self.expect("(")
-            t1 = self.term()
+    def pred_atom(self, tok: str) -> Formula | None:
+        if tok == "Qp" or tok == "P":
+            name, idx = tok, None
+        else:
+            m = _INDEXED_PRED_RE.fullmatch(tok)
+            if m is None:
+                return None
+            name, idx = m.group(1), int(m.group(2))
+            if name == "D" and idx < 2:
+                self.fail(f"divisibility modulus must be >= 2, got {idx}", self.i)
+        self.i += 2  # the name and "("
+        args = [self.term()]
+        if name == "S":
             self.expect(",")
-            t2 = self.term()
-            self.expect(")")
-            return self._pred("S", int(m.group(1)), (t1, t2))
-        m = re.fullmatch(r"del(\d+)", val)
-        if m:
-            self.next()
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return self._pred("del", int(m.group(1)), (t,))
-        return None
-
-    def _pred(self, name: str, idx: int | None, args: tuple[Term, ...]) -> Pred:
-        if name not in _SIGNATURE[self.theory]["preds"]:
+            args.append(self.term())
+        self.expect(")")
+        if name == "D":
+            if not self.div:
+                raise SignatureError(f"divisibility D{idx} not in the {self.theory.value} signature")
+            return Div(idx, args[0])
+        if name not in self.preds:
             raise SignatureError(f"predicate {name!r} not in the {self.theory.value} signature")
-        return Pred(name, idx, args)
+        atom = Pred(name, idx, tuple(args))
+        if not self.group:
+            self.bare_variables(atom, args)
+        return atom
 
     def relation(self) -> Formula:
         left = self.term()
-        kind, val, pos = self.next()
-        right_of = {
-            "=": lambda l, r: Eq(l, r),
-            "<": lambda l, r: Lt(l, r),
-            ">": lambda l, r: Lt(r, l),
-            "<=": lambda l, r: Or((Lt(l, r), Eq(l, r))),
-            ">=": lambda l, r: Or((Lt(r, l), Eq(r, l))),
-        }
-        if val not in right_of:
-            raise ParseError(f"expected a relation symbol, found {val!r}", pos)
+        op = self.toks[self.i]
+        if op not in _RELATIONS:
+            self.fail(f"expected a relation symbol, found {op!r}", self.i)
+        self.i += 1
         right = self.term()
-        return right_of[val](left, right)
+        if op == "=":
+            atom = Eq(left, right)
+        elif op == "<" or op == "<=":
+            atom = Lt(left, right)
+        else:
+            left, right = right, left
+            atom = Lt(left, right)
+        if not self.group:
+            self.bare_variables(atom, (left, right))
+        return atom if len(op) == 1 else Or((atom, Eq(left, right)))
+
+    def bare_variables(self, atom: Atom, terms) -> None:
+        """Note the first term, in the order `validate` checks them, that is
+        not a bare variable in an order-only theory."""
+        if self.not_a_variable is None:
+            for t in terms:
+                if t.consts or len(t.coeffs) != 1 or t.coeffs[0][1] != 1:
+                    self.not_a_variable = SignatureError(
+                        f"theory {self.theory.value} has no group operations; "
+                        f"term {t} is not a variable ({atom})")
+                    return
 
     # term := summand (('+'|'-') summand)*
     def term(self) -> Term:
-        t = self.summand()
-        while self.peek()[1] in ("+", "-"):
-            _, op, _ = self.next()
-            s = self.summand()
-            t = t + s if op == "+" else t - s
-        return t
+        coeffs: dict[str, int] = {}
+        consts: dict[str, int] = {}
+        self.summand(1, coeffs, consts)
+        toks = self.toks
+        while (op := toks[self.i]) == "+" or op == "-":
+            self.i += 1
+            self.summand(1 if op == "+" else -1, coeffs, consts)
+        return Term(tuple(sorted([p for p in coeffs.items() if p[1]])),
+                    tuple(sorted([p for p in consts.items() if p[1]])))
 
-    def summand(self) -> Term:
-        kind, val, pos = self.peek()
-        if val == "-":
-            self.next()
-            return -self.summand()
-        if kind == "int":
-            self.next()
-            n = int(val)
-            if self.peek()[1] == "*":
-                self.next()
-                return self.summand().scale(n)
-            return self._numeral(n)
-        if kind in ("lcz", "lcp", "lcpp"):
-            self.next()
-            return self._const_symbol(val)
-        if kind == "name":
-            if not _VAR_RE.fullmatch(val) or val in _RESERVED:
-                raise ParseError(f"bad variable name {val!r}", pos)
-            self.next()
-            return Term.var(val)
-        raise ParseError(f"expected a term, found {val!r}", pos)
-
-    def _numeral(self, n: int) -> Term:
-        if n == 0:
-            return Term.zero()
-        if "1" not in _SIGNATURE[self.theory]["consts"]:
-            raise SignatureError(
-                f"numeral {n} not expressible: theory {self.theory.value} has no unit constant"
-            )
-        return Term.const(n, "1")
-
-    def _const_symbol(self, sym: str) -> Term:
-        if sym not in _SIGNATURE[self.theory]["consts"]:
-            raise SignatureError(f"constant {sym!r} not in the {self.theory.value} signature")
-        return Term.const(1, sym)
+    # summand := '-' summand | int '*' summand | int | constant | variable;
+    # adds k times its value into coeffs and consts
+    def summand(self, k: int, coeffs: dict[str, int], consts: dict[str, int]) -> None:
+        toks = self.toks
+        while True:
+            tok = toks[self.i]
+            if tok == "-":
+                self.i += 1
+                k = -k
+                continue
+            first = tok[:1]
+            if first.isdigit():
+                self.i += 1
+                if tok in _CONST_TOKENS:
+                    if tok not in self.consts:
+                        raise SignatureError(
+                            f"constant {tok!r} not in the {self.theory.value} signature")
+                    consts[tok] = consts.get(tok, 0) + k
+                    return
+                n = int(tok)
+                if toks[self.i] == "*":
+                    self.i += 1
+                    k *= n
+                    continue
+                if n:
+                    if "1" not in self.consts:
+                        raise SignatureError(f"numeral {n} not expressible: theory "
+                                             f"{self.theory.value} has no unit constant")
+                    consts["1"] = consts.get("1", 0) + k * n
+                return
+            if first.isalpha():
+                if not _VAR_RE.fullmatch(tok) or tok in _RESERVED:
+                    self.fail(f"bad variable name {tok!r}", self.i)
+                self.i += 1
+                coeffs[tok] = coeffs.get(tok, 0) + k
+                if tok not in self.scope:
+                    self.free.add(tok)
+                return
+            self.fail(f"expected a term, found {tok!r}", self.i)
 
 
 def parse(text: str, theory: Theory) -> Formula:
-    """Parse a formula, validate it against the theory, standardize binders."""
-    f = _Parser(text, theory).parse()
-    validate(f, theory)
-    return standardize(f)
+    """Parse a formula over the theory's signature, with binders renamed apart.
+
+    The parser makes every check of `validate` itself: constant symbols,
+    nonzero numerals and D_m against the signature, predicate names (their
+    arity and index come from the grammar), and, in the order-only theories
+    dlo_pred and tchain, that every term is a bare variable.  The result
+    equals `standardize` of the formula read; `standardize` runs only when
+    a binder name repeats or also occurs free, since otherwise it changes
+    nothing.
+    """
+    p = _Parser(text, theory)
+    f = p.parse()
+    if p.repeated or not p.binders.isdisjoint(p.free):
+        f = standardize(f)
+    return f

@@ -1,6 +1,5 @@
 """Command-line behavior: verbs, exit codes, JSON determinism."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -342,6 +341,17 @@ def test_repeated_binding_exits_three(capsys, argv):
     assert err == f"qomin: variable {at.split('=')[0]!r} is bound twice in {at!r}\n"
 
 
+@pytest.mark.parametrize("at,binding", [
+    ("=5", "=5"), ("y=1, =5", "=5"), (" = 5", "= 5"), ("X=1", "X=1"), ("true=1", "true=1"),
+    ("1x=2", "1x=2"),
+], ids=["empty", "second", "spaced", "upper", "reserved", "digit"])
+def test_binding_must_name_a_variable(capsys, at, binding):
+    # "=5" used to bind the empty name, and a sentence then evaluated with exit 0
+    code, out, err = capture(capsys, ["eval", "--theory", "pres_z", "1 < 2", "--at", at])
+    assert (code, out) == (3, "")
+    assert err == f"qomin: binding {binding!r} does not name a variable\n"
+
+
 @pytest.mark.parametrize("theory,text", [
     ("pres_z", "1/2"), ("pres_n", "x"), ("doag_q", "1.5.2"), ("lex_zz", "(1,1/2)"),
     ("lex_zq", "(1/2,0)"),
@@ -374,18 +384,17 @@ def test_theory_without_corpus_exits_three(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# one parser serves every call of a process: no call may see another's state
+# the option reader: one table, every call of a process reads afresh
 
 
-def test_parser_built_once_and_not_at_import():
-    probe = ("import qomin.cli as c; n = c._build_parser.cache_info().currsize; "
+def test_cli_import_loads_no_argparse():
+    probe = ("import sys, qomin.cli as c; "
              "c.run(['parse', '--theory', 'pres_z', 'x < 1', '--format', 'text']); "
-             "c.run(['qe', '--theory', 'pres_z', 'E x. x < y', '--format', 'text']); "
-             "print(n, c._build_parser.cache_info().misses)")
+             "print('argparse' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.splitlines()[-1] == "0 1"
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_reuse_component_language_does_not_stick(capsys):
@@ -419,23 +428,89 @@ def test_reuse_decide_true_then_false(capsys):
     ["cuts", "--n", "two"],
     [],
 ], ids=["verb", "no-formula", "choice", "no-n", "n-type", "empty"])
-def test_reuse_after_usage_error(capsys, monkeypatch, argv):
+def test_reuse_after_usage_error(capsys, argv):
     code, out, err = capture(capsys, argv)
     assert (code, out) == (2, "")
-    with monkeypatch.context() as m:  # the same call on a parser built afresh
-        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-        assert capture(capsys, argv) == (code, out, err)
+    assert err.startswith("usage: qomin ") and "\nqomin: error: " in err
+    assert capture(capsys, argv) == (code, out, err)
     case = GOLDEN[0]
     assert capture(capsys, case["argv"])[:2] == (case["exit"], case["stdout"])
 
 
-def test_value_options_come_from_the_option_table(capsys):
-    sub = next(a for a in cli._build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for p in sub.choices.values():
-        takes_value = {s for a in p._actions if a.option_strings and a.nargs != 0
-                       for s in a.option_strings}
-        assert takes_value == cli._VALUE_OPTIONS
-    code, out, _ = capture(capsys, ["eval", "--theory", "pres_z", "E u. u < x",
-                                    "--at", "x=-1", "--window", "-2,2"])
+# a value of each type and choice the table allows
+_SAMPLE = {"format": "text", "direction": "-inf", "n": "3"}
+
+
+def test_value_options_come_from_the_option_table():
+    """Every flag of `_OPTIONS` is read in its `--flag value` and its
+    `--flag=value` form, to the destination and type the table gives."""
+    flags = [(flag, kw) for flags, kw in cli._OPTIONS for flag in flags if flag.startswith("--")]
+    assert len(flags) == len(cli._OPTIONS) - 1  # all but the positional formula
+    for flag, kw in flags:
+        dest = kw.get("dest", flag[2:].replace("-", "_"))
+        if kw.get("action") == "store_true":
+            _, args = cli._read_args(["qe", flag])
+            assert getattr(args, dest) is True
+            _, args = cli._read_args(["qe"])
+            assert getattr(args, dest) is False
+            with pytest.raises(cli._UsageError):
+                cli._read_args(["qe", f"{flag}=yes"])
+            continue
+        text = _SAMPLE.get(dest, "-1,1")
+        want = kw.get("type", str)(text)
+        for argv in (["qe", flag, text], ["qe", f"{flag}={text}"]):
+            verb, args = cli._read_args(argv)
+            assert verb == "qe" and getattr(args, dest) == want, argv
+            others = {d: v for d, v in vars(args).items() if d != dest}
+            assert others == {d: v for d, v in cli._DEFAULTS.items() if d != dest}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--theory", "pres_z", "E u. u < x", "--at", "x=-1", "--window", "-2,2"],
+    ["eval", "--theory", "pres_z", "E u. u < x", "--at=x=-1", "--window=-2,2"],
+    ["eval", "--theory", "pres_z", "--at", "x=-1", "--window", "-2,2", "--", "E u. u < x"],
+    ["eval", "--theory", "pres_z", "--at", "x=-1", "--window", "-2,2", "-1 < x + 1"],
+], ids=["separate", "joined", "after-double-dash", "formula-with-dash"])
+def test_values_may_begin_with_a_dash(capsys, argv):
+    code, out, _ = capture(capsys, argv)
     assert code == 0 and json.loads(out)["value"] is True
+
+
+def test_unique_prefix_is_read_and_an_ambiguous_one_exits_two(capsys):
+    code, out, _ = capture(capsys, ["eval", "--th", "pres_z", "E u. u < x", "--a", "x=0",
+                                    "--win", "-2,2"])
+    assert (code, out) == (2, "")  # --a could be --asg-window or --at
+    code, out, _ = capture(capsys, ["eval", "--th", "pres_z", "E u. u < x", "--at", "x=0",
+                                    "--win", "-2,2", "--forma=text"])
+    assert (code, out) == (0, "true\n")
+    for ambiguous in ("--form", "--f", "--v", "--c"):
+        code, out, err = capture(capsys, ["decide", "--theory", "pres_z", "E x. x = 0",
+                                          ambiguous, "text"])
+        assert (code, out) == (2, "")
+        assert f"ambiguous option {ambiguous}: could be " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["qe", "--help"],
+                                  ["density", "--n", "3", "-h"]])
+def test_help_exits_zero_and_names_every_verb(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "verbs: " + ", ".join(cli._HANDLERS) in out
+    for flags, _ in cli._OPTIONS[1:]:
+        assert f"  {flags[0]}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theory", "pres_z", "qe", "x < 1"],            # an option before the verb
+    ["qe", "--theory", "pres_z", "x < 1", "y < 1"],   # two formulas
+    ["qe", "--theory", "pres_z", "x < 1", "--nope"],
+    ["qe", "--theory", "pres_z", "x < 1", "-x"],
+    ["qe", "--theory", "pres_z", "x < 1", "--verify=yes"],
+    ["eval", "--theory", "pres_z", "x < 1", "--window"],
+    ["density", "--n=2.5"],
+], ids=["option-first", "two-formulas", "unknown", "single-dash", "flag-value",
+        "no-value", "n-type"])
+def test_other_usage_errors_exit_two(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "qomin: error: " in err

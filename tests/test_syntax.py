@@ -7,12 +7,13 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qomin import corpus
+from qomin import corpus, syntax
+from qomin.cli import run
 from qomin.errors import ParseError, SignatureError
 from qomin.models import Window, eval_qf, eval_windowed
 from qomin.qe import dnf
 from qomin.syntax import (
-    TRUE, And, Bool, Div, Eq, Exists, Forall, Iff, Implies, Lt, Not, Or, Pred,
+    FALSE, TRUE, And, Bool, Div, Eq, Exists, Forall, Iff, Implies, Lt, Not, Or, Pred,
     Solved, Term, Theory, free_vars, parse, print_formula, rebuild, solve_for,
     standardize, substitute, to_nnf, validate,
 )
@@ -143,6 +144,105 @@ def test_validate_error_texts():
         with pytest.raises(SignatureError) as err:
             validate(f, theory)
         assert str(err.value) == text
+
+
+def _formulas(theory: Theory):
+    """Formula trees over the theory's signature: its constants, D_m when it
+    has divisibility, its predicates, bare variables only in the order-only
+    theories, and binder names drawn from the free names, so that binders
+    repeat and shadow."""
+    sig = syntax._SIGNATURE[theory]
+    names = st.sampled_from("xyzu")
+    if sig["group"]:
+        terms = st.builds(Term.make,
+                          st.dictionaries(names, st.integers(-3, 3), max_size=3),
+                          st.dictionaries(st.sampled_from(sorted(sig["consts"])),
+                                          st.integers(-3, 3), max_size=2))
+    else:
+        terms = names.map(Term.var)
+    leaves = [st.builds(Lt, terms, terms), st.builds(Eq, terms, terms),
+              st.sampled_from([TRUE, FALSE])]
+    if sig["div"]:
+        leaves.append(st.builds(Div, st.integers(2, 7), terms))
+    for name in sorted(sig["preds"]):
+        if name == "S":
+            leaves.append(st.builds(lambda k, a, b: Pred("S", k, (a, b)),
+                                    st.integers(0, 3), terms, terms))
+        elif name == "del":
+            leaves.append(st.builds(lambda k, t: Pred("del", k, (t,)), st.integers(0, 3), terms))
+        else:
+            leaves.append(terms.map(lambda t, name=name: Pred(name, None, (t,))))
+
+    def extend(children):
+        parts = st.lists(children, min_size=2, max_size=3).map(tuple)
+        return st.one_of(st.builds(Not, children), parts.map(And), parts.map(Or),
+                         st.builds(Implies, children, children), st.builds(Iff, children, children),
+                         st.builds(Exists, names, children), st.builds(Forall, names, children))
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=8)
+
+
+_TREES = {theory: _formulas(theory) for theory in Theory}
+
+
+# 40 trees over each of the eight signatures: about 1.5 s in all
+@pytest.mark.parametrize("theory", list(Theory), ids=[t.value for t in Theory])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parse_reads_printed_trees_as_their_standard_form(theory, data):
+    """The parser reads a printed tree back as the tree with its binders
+    renamed apart, makes no signature complaint that validate would not
+    make, and leaves nothing for standardize to do."""
+    g = data.draw(_TREES[theory])
+    f = parse(print_formula(g), theory)
+    assert f == standardize(g)
+    validate(f, theory)
+    assert standardize(f) == f
+
+
+# malformed inputs: the exception, its message and the exit code of
+# `qomin parse`, all as before the parser made validate's checks itself
+_MALFORMED = [
+    ("dlo_pred", "x + y < z", SignatureError,
+     "theory dlo_pred has no group operations; term x + y is not a variable (x + y < z)"),
+    ("pres_z", "D1(x)", ParseError, "divisibility modulus must be >= 2, got 1 (at position 0)"),
+    ("pres_z", "x <", ParseError, "expected a term, found '' (at position 3)"),
+    ("pres_z", "x $ y", ParseError, "unexpected character '$' (at position 2)"),
+    ("pres_z", "x < 1_", ParseError, "unexpected character '_' (at position 5)"),
+    ("pres_z", "P(x)", SignatureError, "predicate 'P' not in the pres_z signature"),
+    ("pres_z", "x = 1Z", SignatureError, "constant '1Z' not in the pres_z signature"),
+    ("lex_zq", "x = 1p", SignatureError, "constant '1p' not in the lex_zq signature"),
+    ("tchain", "x < 1", SignatureError,
+     "numeral 1 not expressible: theory tchain has no unit constant"),
+    ("tchain", "S1(x, y + y)", SignatureError,
+     "theory tchain has no group operations; term 2*y is not a variable (S1(x, 2*y))"),
+    ("dlo_pred", "Qp(x) & y > 2*z", SignatureError,
+     "theory dlo_pred has no group operations; term 2*z is not a variable (2*z < y)"),
+    ("dlo_pred", "x >= 0", SignatureError,
+     "theory dlo_pred has no group operations; term 0 is not a variable (0 < x)"),
+    # a syntax error after the term outside the signature is still the error
+    ("dlo_pred", "x + y < z & (", ParseError, "expected a term, found '' (at position 13)"),
+    ("dlo_pred", "x < y & P(x)", SignatureError, "predicate 'P' not in the dlo_pred signature"),
+    ("doag_q", "D2(x)", SignatureError, "divisibility D2 not in the doag_q signature"),
+    ("pres_z", "E X. x < 1", ParseError, "bad quantified variable 'X' (at position 2)"),
+    ("pres_z", "x < y )", ParseError, "trailing input ')' (at position 6)"),
+    ("pres_z", "x < true", ParseError, "bad variable name 'true' (at position 4)"),
+    ("pres_z", "Foo(x) < 1", ParseError, "bad variable name 'Foo' (at position 0)"),
+    ("pres_z", "x y", ParseError, "expected a relation symbol, found 'y' (at position 2)"),
+    ("tchain", "S1(x) | x = y", ParseError, "expected ',', found ')' (at position 4)"),
+    ("lex_zz", "del2(x) < y", ParseError, "trailing input '<' (at position 8)"),
+]
+
+
+@pytest.mark.parametrize("theory,text,error,message", _MALFORMED,
+                         ids=[f"{t}-{x}" for t, x, _, _ in _MALFORMED])
+def test_malformed_input_error_and_exit_code(capsys, theory, text, error, message):
+    with pytest.raises(error) as err:
+        parse(text, Theory(theory))
+    assert type(err.value) is error and str(err.value) == message
+    assert run(["parse", "--theory", theory, text]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"qomin: {message}\n")
 
 
 def test_free_vars_examples():
