@@ -838,7 +838,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _position(text: str, i: int) -> int:
-    """Where the i-th token of text starts; the end of text for the last."""
+    """Where the i-th token of text starts; the end of text for the end of
+    the input, the token after the last."""
     for n, m in enumerate(_TOKEN_RE.finditer(text)):
         if n == i:
             return m.start()
