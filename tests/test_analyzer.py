@@ -85,6 +85,25 @@ def test_classes_reject_wrong_parameter_count(params):
         eventual_classes(Z, parse("x < y", Z), params, POS, Window(-30, 30))
 
 
+def test_classes_compile_each_disjunct_once(monkeypatch):
+    """Each disjunct's psi is compiled once per call, not once per tuple,
+    and every tuple's elements are still checked."""
+    calls = []
+    compile_eval = models.compile_eval
+
+    def counted(theory, f, *args, **kw):
+        calls.append(f)
+        return compile_eval(theory, f, *args, **kw)
+
+    monkeypatch.setattr(models, "compile_eval", counted)
+    theta = parse("D6(x - y)", Z)
+    rep = eventual_classes(Z, theta, [(a,) for a in range(6)], POS, Window(-36, 36))
+    assert rep.class_count == 6
+    assert len(calls) == len(set(calls)) and theta in calls
+    with pytest.raises(EvalError, match="does not belong to the pres_z model"):
+        eventual_classes(Z, theta, [(0,), (Fraction(1, 2),)], POS, Window(-36, 36))
+
+
 # ---------------------------------------------------------------------------
 # eventually_equal
 
