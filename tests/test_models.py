@@ -111,6 +111,46 @@ def test_tag_mismatch_rejected():
         models.check_element(Theory.DYADIC, Fraction(1, 3))
 
 
+_H = Fraction(1, 2)
+_Q0, _Q1 = Fraction(0), Fraction(1)
+_RW = Window(_Q0, _Q1, 2)
+_PW = Window((0, _Q0), (1, _Q1), 2)
+_PAIRS_ZQ = ((0, _Q0), (0, _H), (0, _Q1), (1, _Q0), (1, _H), (1, _Q1))
+
+
+@pytest.mark.parametrize("theory,zero,w,elems,count,foreign", [
+    (Theory.PRES_Z, 0, Window(-1, 1), (-1, 0, 1), 3, _H),
+    (Theory.PRES_N, 0, Window(-1, 1), (0, 1), 3, -1),
+    (Theory.DLO_PRED, _Q0, _RW, (_Q0, _H, _Q1), 7, (0, _Q0)),
+    (Theory.DOAG_Q, _Q0, _RW, (_Q0, _H, _Q1), 7, 1),
+    (Theory.DYADIC, _Q0, Window(_Q0, _Q1, 3), (_Q0, _H, _Q1), 13, Fraction(1, 3)),
+    (ZQ, (0, _Q0), _PW, _PAIRS_ZQ, 14, (0, 0)),
+    (Theory.TCHAIN, (0, _Q0), _PW, _PAIRS_ZQ, 14, _Q0),
+    (Theory.LEX_ZZ, (0, 0), Window((0, 0), (1, 1)), ((0, 0), (0, 1), (1, 0), (1, 1)), 4,
+     (0, _H)),
+], ids=lambda v: v.value if isinstance(v, Theory) else None)
+def test_each_theory_model(monkeypatch, theory, zero, w, elems, count, foreign):
+    """Each theory's model: its zero with the coordinate types, the
+    enumeration of a tiny window, the count the cap message gives for it,
+    and check_element accepting the window's elements and rejecting a value
+    of another coordinate sort."""
+    def sorts(vals):
+        return [type(c) for v in vals for c in (v if isinstance(v, tuple) else (v,))]
+
+    z = models.zero_element(theory)
+    assert z == zero and sorts([z]) == sorts([zero])
+    monkeypatch.setattr(models, "_ENUM_CACHE", {})
+    with pytest.raises(WindowCapError,
+                       match=rf"^window would enumerate about {count} elements, cap is 1$"):
+        enumerate_window(theory, w, cap=1)
+    got = enumerate_window(theory, w)
+    assert got == elems and sorts(got) == sorts(elems)
+    for e in got:
+        models.check_element(theory, e)
+    with pytest.raises(EvalError, match="does not belong"):
+        models.check_element(theory, foreign)
+
+
 @pytest.mark.parametrize("theory,w", [
     (Theory.PRES_Z, Window(-4, 4)),
     (Theory.DOAG_Q, Window(Fraction(-2), Fraction(2), 3)),
