@@ -26,18 +26,16 @@ NEG = "-inf"
 # Eventual equality and eventual finiteness
 
 
-def _tail_comparison(xs, va, vb, direction, margin: int | None = None):
+def _tail_comparison(xs, va, vb, direction):
     """Compare membership vectors along the window.
 
     Returns (equal, threshold_or_counterexample).  The verdict is positive
-    when the vectors agree on a tail holding at least `margin` window points
-    (default: a quarter of the window); agreement holds strictly beyond the
+    when the vectors agree on a tail holding at least a quarter of the
+    window's points (at least one); agreement holds strictly beyond the
     returned threshold c.  A finite window cannot certify tail behavior, so
     a too-short agreeing tail counts as a negative verdict with the last
     disagreement as counterexample.
     """
-    if margin is None:
-        margin = max(1, len(xs) // 4)
     disagree = [i for i, (a, b) in enumerate(zip(va, vb)) if a != b]
     if not disagree:
         edge = xs[0] if direction == POS else xs[-1]
@@ -48,7 +46,7 @@ def _tail_comparison(xs, va, vb, direction, margin: int | None = None):
     else:
         worst = disagree[0]
         tail = worst
-    if tail >= margin:
+    if tail >= max(1, len(xs) // 4):
         return True, xs[worst]
     return False, xs[worst]
 

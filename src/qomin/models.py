@@ -1,8 +1,8 @@
 """Concrete exact-arithmetic models for every theory in the roster.
 
-Elements are plain Python values: int (PRES_Z/PRES_N), Fraction
-(DLO_PRED/DOAG_Q/DYADIC), (int, Fraction) pairs (LEX_ZQ/TCHAIN) and
-(int, int) pairs (LEX_ZZ), ordered lexicographically where applicable.
+Elements are plain Python values: an int or a Fraction, or a pair of them
+ordered lexicographically, as the table `_SORTS` gives each theory's
+coordinate sorts.
 Quantifiers range over a finite Window — exact only when every relevant
 witness lies inside the window, which the curated corpora guarantee.  The
 search for a bound variable bisects the sorted window to the slice that the
@@ -14,10 +14,11 @@ compile_eval).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import EvalError, WindowCapError
 from .syntax import (
@@ -29,20 +30,25 @@ Element = int | Fraction | tuple
 
 DEFAULT_WINDOW_CAP = 10**6
 
-_PAIR_THEORIES = (Theory.LEX_ZQ, Theory.LEX_ZZ, Theory.TCHAIN)
-_RAT_THEORIES = (Theory.DLO_PRED, Theory.DOAG_Q, Theory.DYADIC)
-
-# values of the constant symbols, per theory
-_CONSTS: dict[Theory, dict[str, Element]] = {
-    Theory.PRES_Z: {"1": 1},
-    Theory.PRES_N: {"1": 1},
-    Theory.DOAG_Q: {"1": Fraction(1)},
-    Theory.DYADIC: {"1": Fraction(1)},
-    Theory.LEX_ZQ: {"1Z": (1, Fraction(0))},
-    Theory.LEX_ZZ: {"1p": (0, 1), "1pp": (1, 0)},
-    Theory.DLO_PRED: {},
-    Theory.TCHAIN: {},
+# the sort of each coordinate of a theory's elements: "z" integers, "n"
+# naturals, "q" rationals, "d" dyadic rationals; one letter for a scalar
+# element, two for a pair ordered lexicographically
+_SORTS: dict[Theory, str] = {
+    Theory.PRES_Z: "z",
+    Theory.PRES_N: "n",
+    Theory.DLO_PRED: "q",
+    Theory.DOAG_Q: "q",
+    Theory.DYADIC: "d",
+    Theory.LEX_ZQ: "zq",
+    Theory.LEX_ZZ: "zz",
+    Theory.TCHAIN: "zq",
 }
+_PAIR_THEORIES = tuple(t for t, s in _SORTS.items() if len(s) == 2)
+_RAT_THEORIES = tuple(t for t, s in _SORTS.items() if s in ("q", "d"))
+
+# the value of each constant symbol; a theory's signature admits only the
+# symbols whose value has its elements' shape
+UNITS: dict[str, Element] = {"1": 1, "1Z": (1, 0), "1pp": (1, 0), "1p": (0, 1)}
 
 
 def _scale(n: int, v: Element) -> Element:
@@ -58,35 +64,21 @@ def _add(a: Element, b: Element) -> Element:
 
 
 def zero_element(theory: Theory) -> Element:
-    if theory in (Theory.PRES_Z, Theory.PRES_N):
-        return 0
-    if theory in _RAT_THEORIES:
-        return Fraction(0)
-    if theory == Theory.LEX_ZZ:
-        return (0, 0)
-    return (0, Fraction(0))
+    z = tuple(0 if s in "zn" else Fraction(0) for s in _SORTS[theory])
+    return z if len(z) == 2 else z[0]
+
+
+def _in_sort(sort: str, c) -> bool:
+    if sort in "zn":
+        return isinstance(c, int) and (sort == "z" or c >= 0)
+    return isinstance(c, Fraction) and (sort == "q" or _is_dyadic(c))
 
 
 def check_element(theory: Theory, v: Element) -> None:
-    """Raise EvalError unless v carries the model's tag."""
-    ok = False
-    match theory:
-        case Theory.PRES_Z:
-            ok = isinstance(v, int)
-        case Theory.PRES_N:
-            ok = isinstance(v, int) and v >= 0
-        case Theory.DLO_PRED | Theory.DOAG_Q:
-            ok = isinstance(v, Fraction)
-        case Theory.DYADIC:
-            ok = isinstance(v, Fraction) and _is_dyadic(v)
-        case Theory.LEX_ZQ | Theory.TCHAIN:
-            ok = (
-                isinstance(v, tuple) and len(v) == 2
-                and isinstance(v[0], int) and isinstance(v[1], Fraction)
-            )
-        case Theory.LEX_ZZ:
-            ok = isinstance(v, tuple) and len(v) == 2 and all(isinstance(c, int) for c in v)
-    if not ok:
+    """Raise EvalError unless each coordinate of v is of the model's sort."""
+    sorts = _SORTS[theory]
+    coords = v if isinstance(v, tuple) and len(sorts) == 2 else (v,)
+    if len(coords) != len(sorts) or not all(map(_in_sort, sorts, coords)):
         raise EvalError(f"element {v!r} does not belong to the {theory.value} model")
 
 
@@ -101,9 +93,8 @@ def eval_term(theory: Theory, t: Term, asg: Mapping[str, Element]) -> Element:
         if var not in asg:
             raise EvalError(f"unbound variable {var!r}")
         v = _add(v, _scale(c, asg[var]))
-    consts = _CONSTS[theory]
     for sym, c in t.consts:
-        v = _add(v, _scale(c, consts[sym]))
+        v = _add(v, _scale(c, UNITS[sym]))
     return v
 
 
@@ -126,40 +117,36 @@ class Window:
             raise ValueError("denominator bound must be >= 1")
 
 
-def _rat_range(lo: Fraction, hi: Fraction, denom: int, dyadic: bool) -> list[Fraction]:
-    qs: Iterable[int]
-    if dyadic:
-        qs = []
-        q = 1
-        while q <= denom:
-            qs.append(q)
-            q *= 2
-    else:
-        qs = range(1, denom + 1)
+def _coords(theory: Theory, w: Window):
+    """(sort, lo, hi) for each coordinate of the window's elements."""
+    sorts = _SORTS[theory]
+    return zip(sorts, w.lo, w.hi) if len(sorts) == 2 else [(sorts, w.lo, w.hi)]
+
+
+def _coord_range(sort: str, lo, hi, denom: int):
+    """The sorted values of one coordinate sort in [lo, hi]: integers, or
+    rationals with denominator up to denom (powers of two for "d")."""
+    if sort in "zn":
+        return range(max(0, lo) if sort == "n" else lo, hi + 1)
+    lo, hi = Fraction(lo), Fraction(hi)
+    qs = range(1, denom + 1) if sort == "q" else [1 << k for k in range(denom.bit_length())]
     seen = set()
     for q in qs:
         p_lo = -((-lo.numerator * q) // lo.denominator)  # ceil(lo*q)
         p_hi = (hi.numerator * q) // hi.denominator      # floor(hi*q)
-        for p in range(p_lo, p_hi + 1):
-            seen.add(Fraction(p, q))
+        seen.update(Fraction(p, q) for p in range(p_lo, p_hi + 1))
     return sorted(seen)
 
 
 def _window_count(theory: Theory, w: Window) -> int:
     # cheap overestimate used for the cap check
-    match theory:
-        case Theory.PRES_Z | Theory.PRES_N:
-            return max(0, w.hi - w.lo + 1)
-        case Theory.DLO_PRED | Theory.DOAG_Q | Theory.DYADIC:
-            span = w.hi - w.lo
-            return int(span * w.denom * w.denom) + w.denom + 1
-        case Theory.LEX_ZZ:
-            return max(0, w.hi[0] - w.lo[0] + 1) * max(0, w.hi[1] - w.lo[1] + 1)
-        case Theory.LEX_ZQ | Theory.TCHAIN:
-            span = w.hi[1] - w.lo[1]
-            per = int(span * w.denom * w.denom) + w.denom + 1
-            return max(0, w.hi[0] - w.lo[0] + 1) * per
-    raise EvalError(f"no window enumeration for {theory.value}")
+    n = 1
+    for sort, lo, hi in _coords(theory, w):
+        if sort in "zn":
+            n *= max(0, hi - lo + 1)
+        else:
+            n *= int((hi - lo) * w.denom * w.denom) + w.denom + 1
+    return n
 
 
 _ENUM_CACHE: dict[tuple, tuple] = {}
@@ -174,33 +161,14 @@ def enumerate_window(theory: Theory, w: Window, cap: int | None = None) -> tuple
         if len(cached) > cap:
             raise WindowCapError(f"window holds {len(cached)} elements, cap is {cap}")
         return cached
-    check_element(theory, w.lo) if theory not in (Theory.PRES_N,) else None
+    if _SORTS[theory] != "n":
+        check_element(theory, w.lo)
     if _window_count(theory, w) > cap:
         raise WindowCapError(
             f"window would enumerate about {_window_count(theory, w)} elements, cap is {cap}"
         )
-    match theory:
-        case Theory.PRES_Z:
-            vals = tuple(range(w.lo, w.hi + 1))
-        case Theory.PRES_N:
-            vals = tuple(range(max(0, w.lo), w.hi + 1))
-        case Theory.DLO_PRED | Theory.DOAG_Q:
-            vals = tuple(_rat_range(Fraction(w.lo), Fraction(w.hi), w.denom, dyadic=False))
-        case Theory.DYADIC:
-            vals = tuple(_rat_range(Fraction(w.lo), Fraction(w.hi), w.denom, dyadic=True))
-        case Theory.LEX_ZZ:
-            vals = tuple(
-                (a, b)
-                for a in range(w.lo[0], w.hi[0] + 1)
-                for b in range(w.lo[1], w.hi[1] + 1)
-            )
-        case Theory.LEX_ZQ | Theory.TCHAIN:
-            seconds = _rat_range(Fraction(w.lo[1]), Fraction(w.hi[1]), w.denom, dyadic=False)
-            vals = tuple(
-                (a, q) for a in range(w.lo[0], w.hi[0] + 1) for q in seconds
-            )
-        case _:
-            raise EvalError(f"no window enumeration for {theory.value}")
+    ranges = [_coord_range(sort, lo, hi, w.denom) for sort, lo, hi in _coords(theory, w)]
+    vals = tuple(itertools.product(*ranges)) if len(ranges) == 2 else tuple(ranges[0])
     if len(vals) > cap:
         raise WindowCapError(f"window holds {len(vals)} elements, cap is {cap}")
     _ENUM_CACHE[key] = vals
@@ -313,12 +281,11 @@ def _linear(coeffs, base, i=None) -> Callable[[Assignment], int]:
 def _compile_atom(theory: Theory, atom, L: int) -> Callable[[Assignment], bool]:
     """The meaning of each atom, as a closure over values scaled by L."""
     pair = theory in _PAIR_THEORIES
-    consts = {sym: _lift(theory, v, L) for sym, v in _CONSTS[theory].items()}
 
     def base(t: Term):
         b = (0, 0) if pair else 0
         for sym, c in t.consts:
-            k = consts[sym]
+            k = _lift(theory, UNITS[sym], L)
             b = (b[0] + c * k[0], b[1] + c * k[1]) if pair else b + c * k
         return b
 

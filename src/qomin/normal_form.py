@@ -37,16 +37,6 @@ from .syntax import (
 _LEX = (Theory.LEX_ZQ, Theory.LEX_ZZ)
 
 
-def _unit_first(theory: Theory) -> tuple[str, Element]:
-    if theory == Theory.LEX_ZQ:
-        return "1Z", (1, Fraction(0))
-    return "1pp", (1, 0)
-
-
-def _second_zero(theory: Theory):
-    return Fraction(0) if theory in (Theory.LEX_ZQ, Theory.TCHAIN) else 0
-
-
 # ---------------------------------------------------------------------------
 # del_k: definitional expansion in the base group language
 
@@ -251,8 +241,7 @@ def inequality_form(theory: Theory, n: int, a: Element) -> InequalityForm:
         b = ((a1 - i) // n, (a2 - c2) // n)
     if i == 0:
         return InequalityForm(1, None, b)
-    _, unit = _unit_first(theory)
-    d = (b[0] + unit[0], b[1] + unit[1])
+    d = (b[0] + 1, b[1])
     even = b[0] % 2 == 0
     return InequalityForm(2 if even else 3, d, b)
 
@@ -659,13 +648,12 @@ def _first_resid_sel(theory: Theory, t: Term, r: int, modulus: int) -> Formula:
     """Selector: first coordinate of t is congruent to r modulo modulus."""
     if modulus == 1:
         return TRUE
-    sym, _ = _unit_first(theory)
     r %= modulus
     if theory == Theory.LEX_ZQ:
-        return Div(modulus, t - Term.const(r, sym))
+        return Div(modulus, t - Term.const(r, "1Z"))
     branches = []
     for s in range(modulus):
-        shift = Term.const(r, sym) + Term.const(s, "1p")
+        shift = Term.const(r, "1pp") + Term.const(s, "1p")
         arg = t - shift
         branches.append(Div(modulus, arg))
     return or_(*branches)
@@ -728,7 +716,7 @@ def _lex_gt_coset(theory: Theory, n: int, t: Term, k: int, side: int,
     j = (k - first(t))/n: the three-case form with e = (j + side - 1, 0) and
     d = e + first-unit, selected by the first coordinate of t modulo 2|n|."""
     tname = str(t)
-    zero2 = _second_zero(theory)
+    zero2 = models.zero_element(theory)[1]
 
     def edge(offset: int, description: str) -> Term:
         def recipe(asg: dict[str, Element]) -> Element:

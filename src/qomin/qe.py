@@ -35,23 +35,21 @@ from . import models
 
 
 def _const_value(t: Term):
-    """Comparable value of a variable-free term, or None if it has variables.
-
-    The value shape is symbol-driven: '1' gives an integer, '1Z' the pair
-    (c, 0), and 1'/1'' combinations the pair (first, second).
-    """
+    """Comparable value of a variable-free term: the sum of its constants'
+    `models.UNITS` values, an integer or a pair.  None if the term has
+    variables or mixes scalar and pair constants."""
     if t.coeffs:
         return None
-    ks = dict(t.consts)
-    if not ks:
-        return 0
-    if set(ks) <= {"1"}:
-        return ks.get("1", 0)
-    if set(ks) <= {"1Z"}:
-        return (ks.get("1Z", 0), Fraction(0))
-    if set(ks) <= {"1p", "1pp"}:
-        return (ks.get("1pp", 0), ks.get("1p", 0))
-    return None
+    v = None
+    for sym, c in t.consts:
+        u = models._scale(c, models.UNITS[sym])
+        if v is None:
+            v = u
+        elif isinstance(u, tuple) is not isinstance(v, tuple):
+            return None
+        else:
+            v = models._add(v, u)
+    return 0 if v is None else v
 
 
 def _fold_atom(a) -> bool | None:
@@ -618,17 +616,6 @@ class ComponentFormula:
     sorts: tuple[tuple[str, str], ...] = ()  # (component name, 'z' | 's')
 
 
-def _split_names(variables, taken: set[str]) -> dict[str, tuple[str, str]]:
-    out: dict[str, tuple[str, str]] = {}
-    for v in sorted(variables):
-        z = fresh_name(f"{v}_z", taken)
-        taken.add(z)
-        s = fresh_name(f"{v}_2", taken)
-        taken.add(s)
-        out[v] = (z, s)
-    return out
-
-
 def _split_term(t: Term, names: dict[str, tuple[str, str]]) -> tuple[Term, Term]:
     zc: dict[str, int] = {}
     sc: dict[str, int] = {}
@@ -639,10 +626,9 @@ def _split_term(t: Term, names: dict[str, tuple[str, str]]) -> tuple[Term, Term]
     zk = 0
     sk = 0
     for sym, c in t.consts:
-        if sym == "1Z" or sym == "1pp":
-            zk += c
-        elif sym == "1p":
-            sk += c
+        u = models.UNITS[sym]
+        zk += c * u[0]
+        sk += c * u[1]
     return Term.make(zc, {"1": zk}), Term.make(sc, {"1": sk})
 
 
@@ -653,11 +639,21 @@ def lex_split(theory: Theory, f: Formula) -> ComponentFormula:
     if theory not in (Theory.LEX_ZQ, Theory.LEX_ZZ):
         raise UnsupportedTheoryError(f"lex_split does not apply to {theory.value}")
     taken = set(free_vars(f)) | set(bound_vars(f))
-    names = _split_names(free_vars(f), taken)
+    names: dict[str, tuple[str, str]] = {}
     sorts: dict[str, str] = {}
-    for v, (z, s) in names.items():
+
+    def split_name(v: str) -> None:
+        """Map v to fresh names v_z and v_2, and record their sorts."""
+        z = fresh_name(f"{v}_z", taken)
+        taken.add(z)
+        s = fresh_name(f"{v}_2", taken)
+        taken.add(s)
+        names[v] = (z, s)
         sorts[z] = "z"
         sorts[s] = "s"
+
+    for v in sorted(free_vars(f)):
+        split_name(v)
 
     def split_atom(a) -> Formula:
         match a:
@@ -684,15 +680,9 @@ def lex_split(theory: Theory, f: Formula) -> ComponentFormula:
             case Lt() | Eq() | Div() | Pred():
                 return split_atom(g)
             case Exists(v, body) | Forall(v, body):
-                z = fresh_name(f"{v}_z", taken)
-                taken.add(z)
-                s = fresh_name(f"{v}_2", taken)
-                taken.add(s)
-                names[v] = (z, s)
-                sorts[z] = "z"
-                sorts[s] = "s"
+                split_name(v)
                 inner = rec(body)
-                del names[v]
+                z, s = names.pop(v)
                 return type(g)(z, type(g)(s, inner))
         return rebuild(g, rec)
 
