@@ -84,7 +84,15 @@ def _parse_at(text: str, theory: Theory) -> dict:
 
 def _window_cap() -> int | None:
     raw = os.environ.get("QOMIN_WINDOW_CAP")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise EvalError(f"QOMIN_WINDOW_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _read_formula(args) -> tuple[str, Theory]:

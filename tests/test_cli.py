@@ -68,6 +68,15 @@ def test_window_cap_exits_four(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+def test_malformed_window_cap_exits_three(capsys, monkeypatch, raw):
+    monkeypatch.setenv("QOMIN_WINDOW_CAP", raw)
+    code, out, err = capture(capsys, ["eval", "--theory", "pres_z", "E u. u < x",
+                                      "--at", "x=0", "--window", "-2,2"])
+    assert code == 3 and out == ""
+    assert err == f"qomin: QOMIN_WINDOW_CAP must be a positive integer, got {raw!r}\n"
+
+
 def test_eval_windowed(capsys):
     code, out, _ = capture(capsys, ["eval", "--theory", "pres_z", "E x. 2*x = y",
                                     "--at", "y=6", "--window", "-10,10"])
