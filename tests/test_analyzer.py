@@ -8,7 +8,7 @@ import pytest
 
 from qomin import models
 from qomin.analyzer import (
-    Cut, NEG, POS, cut_contains, cut_subset, density_check, eventual_classes,
+    Cut, DensityReport, NEG, POS, cut_contains, cut_subset, density_check, eventual_classes,
     eventually_equal, lemma3_check, maximal_cut_excluding, one_var_intervals,
 )
 from qomin.errors import EvalError, QominError, WindowCapError
@@ -258,6 +258,59 @@ def test_density_large_modulus_is_one_step_per_interval():
     rep = density_check(10**9 + 7, Window(Fraction(0), Fraction(1), 1), Fraction(1, 2))
     assert rep.first_codensity_gap == (Fraction(0), Fraction(1, 2))
     assert rep.first_density_gap == (Fraction(1, 2), Fraction(1))
+
+
+def _density_scan_reference(n: int, w: Window, resolution: Fraction) -> DensityReport:
+    """density_check's report, computed by a plain scan over Fraction
+    interval ends: numerators p with p/denom in [a, b) are the interval's
+    points, and nG holds those the odd part of n divides."""
+    odd = n
+    while odd % 2 == 0:
+        odd //= 2
+    report = DensityReport(n=n, odd_part=odd, whole_group=(odd == 1))
+    if report.whole_group:
+        return report
+    denom = w.denom
+    lo, hi = Fraction(w.lo), Fraction(w.hi)
+    report.dense = report.codense = True
+    a = lo
+    while a < hi:
+        b = min(a + resolution, hi)
+        p_lo = -((-a.numerator * denom) // a.denominator)
+        p_hi = (b.numerator * denom) // b.denominator
+        if Fraction(p_hi, denom) == b:
+            p_hi -= 1
+        report.intervals_checked += 1
+        if p_lo + (-p_lo) % odd > p_hi:
+            if report.dense:
+                report.first_density_gap = (a, b)
+            report.dense = False
+        if not (p_lo < p_hi or (p_lo == p_hi and p_lo % odd)):
+            if report.codense:
+                report.first_codensity_gap = (a, b)
+            report.codense = False
+        a = b
+    return report
+
+
+def test_density_scan_matches_fraction_reference():
+    """Every report field agrees with the Fraction scan on derandomized
+    draws: odd parts 3 to 21 and 10^9+7, window ends with denominators 1 to
+    8, resolutions that often leave a short last interval."""
+    rng = random.Random("density-scan")
+    short_last = gaps = 0
+    for _ in range(3000):
+        n = rng.choice([*range(3, 22, 2), 10**9 + 7]) << rng.randint(0, 3)
+        lo = Fraction(rng.randint(-24, 24), rng.randint(1, 8))
+        hi = lo + Fraction(rng.randint(0, 24), rng.randint(1, 8))
+        res = Fraction(rng.randint(1, 12), rng.randint(1, 8))
+        w = Window(lo, hi, 1 << rng.randint(0, 6))
+        rep = density_check(n, w, res)
+        assert rep == _density_scan_reference(n, w, res), (n, w, res)
+        short_last += (hi - lo) % res != 0
+        gaps += not (rep.dense and rep.codense)
+    # the draws exercise both the short last interval and the gap reports
+    assert short_last > 1500 and gaps > 500
 
 
 # ---------------------------------------------------------------------------

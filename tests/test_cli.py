@@ -2,9 +2,11 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -523,3 +525,37 @@ def test_other_usage_errors_exit_two(capsys, argv):
     code, out, err = capture(capsys, argv)
     assert (code, out) == (2, "")
     assert "qomin: error: " in err
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: schema 1 is json.dumps(payload, indent=2), byte for byte
+
+_TEXTS = ["", "x", 'q"uote', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f",
+          "café", "  ", "\U0001f600", "\ud800", "</script>"]
+_SCALARS = [None, True, False, 0, -1, 2**70, -(10**40), 0.0, -0.0, 0.1, 1e300, 1.5e-7,
+            float("inf"), float("-inf"), float("nan")]
+
+
+def _random_json(rng, depth: int):
+    kind = rng.randrange(6 if depth else 2)
+    if kind == 0:
+        return rng.choice(_TEXTS) + rng.choice(_TEXTS)
+    if kind == 1:
+        return rng.choice(_SCALARS)
+    if kind in (2, 3):
+        return [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {rng.choice(_TEXTS) + str(i): _random_json(rng, depth - 1)
+            for i in range(rng.randrange(4))}
+
+
+def _json_payloads():
+    rng = random.Random("json-writer")
+    yield from (json.loads(case["stdout"]) for case in GOLDEN if case["stdout"].startswith("{"))
+    for _ in range(2000):
+        yield {"v": _random_json(rng, 4), "w": [], "x": {}, "y": (1, "t")}
+
+
+def test_emit_writes_json_dumps_indent_2(capsys):
+    for payload in _json_payloads():
+        cli._emit(SimpleNamespace(format="json"), payload, [])
+        assert capsys.readouterr().out == json.dumps({"schema": 1, **payload}, indent=2) + "\n"
