@@ -5,6 +5,7 @@ the one-variable interval decomposition over the divisible rational group."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -334,27 +335,27 @@ def density_check(n: int, w: Window, resolution: Fraction,
     if (count := -((lo - hi) // resolution)) > cap:  # ceil((hi - lo) / resolution)
         raise WindowCapError(f"density scan would check {count} intervals, cap is {cap}")
     report.dense = report.codense = True
-    a = lo
-    while a < hi:
-        b = min(a + resolution, hi)
-        # numerators p with p/denom in [a, b): membership in nG means the
-        # odd part of n divides p
-        p_lo = -((-a.numerator * denom) // a.denominator)
-        p_hi = (b.numerator * denom) // b.denominator
-        if Fraction(p_hi, denom) == b:
-            p_hi -= 1
+    # the interval ends in integers: A/S, with S the lcm of the denominators
+    S = math.lcm(lo.denominator, hi.denominator, resolution.denominator)
+    A, H, R = (x.numerator * (S // x.denominator) for x in (lo, hi, resolution))
+    while A < H:
+        B = min(A + R, H)
+        # numerators p with p/denom in [A/S, B/S): membership in nG means
+        # the odd part of n divides p
+        p_lo = -((-A * denom) // S)
+        p_hi = (B * denom - 1) // S
         report.intervals_checked += 1
         # the least multiple of odd at or above p_lo; odd >= 3, so any two
         # numerators include a non-multiple
         if p_lo + (-p_lo) % odd > p_hi:
             if report.dense:
-                report.first_density_gap = (a, b)
+                report.first_density_gap = (Fraction(A, S), Fraction(B, S))
             report.dense = False
         if not (p_lo < p_hi or (p_lo == p_hi and p_lo % odd)):
             if report.codense:
-                report.first_codensity_gap = (a, b)
+                report.first_codensity_gap = (Fraction(A, S), Fraction(B, S))
             report.codense = False
-        a = b
+        A = B
     return report
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 
 from . import analyzer, corpus, models, normal_form
@@ -125,10 +126,39 @@ def _expand_delta(f: Formula, theory: Theory) -> Formula:
     return map_atoms(f, fn)
 
 
+def _json(v, nl: str) -> str:
+    """v as json.dumps(v, indent=2) writes it, nl being the line break and
+    indentation of the line v starts on.  json.dumps with an indent runs the
+    pure-Python encoder; this writer leaves only the string escapes to the C
+    one."""
+    if isinstance(v, str):
+        return _json_str(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return json.dumps(v)
+    inner = nl + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_json(x, inner) for x in v])}{nl}]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = [f"{_json_str(k)}: {_json(x, inner)}" for k, x in v.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, indent=2))
+        print(_json({"schema": SCHEMA, **payload}, "\n"))
     else:
         for line in text_lines:
             print(line)
@@ -315,7 +345,13 @@ def _cmd_density(args) -> int:
     if args.n is None:
         raise _UsageError("--n is required")
     w = _parse_window(args.window or "-16,16,1024", Theory.DYADIC)
-    res = models.parse_rational(args.resolution or "1/32")
+    text = args.resolution or "1/32"
+    try:
+        res = models.parse_rational(text)
+    except ValueError:
+        res = 0
+    if res <= 0:
+        raise EvalError(f"--resolution must be a positive rational such as 1/32, got {text!r}")
     rep = analyzer.density_check(args.n, w, res, cap=_window_cap())
     payload = rep.to_json()
     lines = [payload["case"]]

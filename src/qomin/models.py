@@ -79,7 +79,11 @@ def check_element(theory: Theory, v: Element) -> None:
     sorts = _SORTS[theory]
     coords = v if isinstance(v, tuple) and len(sorts) == 2 else (v,)
     if len(coords) != len(sorts) or not all(map(_in_sort, sorts, coords)):
-        raise EvalError(f"element {v!r} does not belong to the {theory.value} model")
+        # named as format_element writes a number or a pair of numbers
+        parts = v if isinstance(v, tuple) and len(v) == 2 else (v,)
+        numbers = all(isinstance(c, (int, Fraction)) for c in parts)
+        shown = format_element(v) if numbers else repr(v)
+        raise EvalError(f"element {shown} does not belong to the {theory.value} model")
 
 
 def _is_dyadic(q: Fraction) -> bool:
@@ -502,7 +506,9 @@ def compile_eval(theory: Theory, f: Formula,
       this is exact for every rational t (a lex_zq component formula,
       compiled as doag_q, has D_m over its integer-sort variables).
       Qp(q) holds iff the reduced denominator L/gcd(q*L, L) of q is a
-      power of two.
+      power of two.  A model with integer coordinates only (pres_z,
+      pres_n, lex_zz) has L = 1, so its closure evaluates the assignment
+      as it is.
     - The slice: the window is enumerated in model order, and scaling by L
       or relifting by L/L0 keeps that order.  The compiled `<` is a group
       order (lexicographic on pairs), so `t < a*v` with a > 0 is monotone in
@@ -525,20 +531,25 @@ def compile_eval(theory: Theory, f: Formula,
             fn = plans[L] = _compile_scaled(theory, f, L, elems)
         return fn
 
-    plan(L0)
+    base = plan(L0)
     fvs = tuple(sorted(free_vars(f)))
+    # with integer coordinates only, L0 == 1 and each element is its own
+    # scaled value
+    integer = all(s in "zn" for s in _SORTS[theory])
 
     def run(asg: Mapping[str, Element]) -> bool:
         try:
-            vals = [asg[v] for v in fvs]
+            vals = {v: asg[v] for v in fvs}
         except KeyError as e:
             raise EvalError(f"unbound variable {e.args[0]!r}") from None
+        if integer:
+            return base(vals)
         L = L0
-        for x in vals:
+        for x in vals.values():
             d = _coord(theory, x).denominator
             if L % d:
                 L = math.lcm(L, d)
-        return plan(L)({v: _lift(theory, x, L) for v, x in zip(fvs, vals)})
+        return plan(L)({v: _lift(theory, x, L) for v, x in vals.items()})
     return run
 
 

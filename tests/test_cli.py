@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -551,11 +550,35 @@ def _random_json(rng, depth: int):
 def _json_payloads():
     rng = random.Random("json-writer")
     yield from (json.loads(case["stdout"]) for case in GOLDEN if case["stdout"].startswith("{"))
+    yield from ([], {}, "", None, 2**70, ("a", []))
     for _ in range(2000):
         yield {"v": _random_json(rng, 4), "w": [], "x": {}, "y": (1, "t")}
 
 
-def test_emit_writes_json_dumps_indent_2(capsys):
+def test_json_writer_is_json_dumps_indent_2():
     for payload in _json_payloads():
-        cli._emit(SimpleNamespace(format="json"), payload, [])
-        assert capsys.readouterr().out == json.dumps({"schema": 1, **payload}, indent=2) + "\n"
+        assert cli._json(payload, "\n") == json.dumps(payload, indent=2)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json({"a": [object()]}, "\n")
+
+
+# an element outside the model is named as the CLI writes elements
+@pytest.mark.parametrize("argv,shown,theory", [
+    (["eval", "--theory", "dyadic", "E u. u < x", "--at", "x=1/2", "--window", "1/3,1,4"],
+     "1/3", "dyadic"),
+    (["eval", "--theory", "pres_z", "E u. u < x", "--at", "x=(1,2)", "--window", "-2,2"],
+     "(1, 2)", "pres_z"),
+    (["density", "--n", "3", "--window", "1/3,1,4", "--resolution", "1/4"], "1/3", "dyadic"),
+], ids=["dyadic-window", "pres_z-pair", "density-window"])
+def test_foreign_element_named_as_written(capsys, argv, shown, theory):
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == f"qomin: element {shown} does not belong to the {theory} model\n"
+
+
+@pytest.mark.parametrize("text", ["abc", "-1/4", "0"])
+def test_bad_resolution_exits_three_naming_the_flag(capsys, text):
+    code, out, err = capture(capsys, ["density", "--n", "3", "--window", "-1,1,4",
+                                      "--resolution", text])
+    assert (code, out) == (3, "")
+    assert err == f"qomin: --resolution must be a positive rational such as 1/32, got {text!r}\n"

@@ -151,6 +151,50 @@ def test_each_theory_model(monkeypatch, theory, zero, w, elems, count, foreign):
         models.check_element(theory, foreign)
 
 
+@pytest.mark.parametrize("theory,v,shown", [
+    (Theory.DYADIC, Fraction(1, 3), "1/3"),
+    (Theory.PRES_Z, (1, Fraction(2)), "(1, 2)"),
+    (Theory.LEX_ZZ, 1, "1"),
+    (Theory.PRES_Z, "1", "'1'"),
+    (Theory.PRES_Z, 1.5, "1.5"),
+    (ZQ, (1, "a"), "(1, 'a')"),
+    (ZQ, (1, 2, 3), "(1, 2, 3)"),
+], ids=["fraction", "pair", "scalar-for-pair", "str", "float", "pair-of-str", "triple"])
+def test_rejected_element_named_as_written(theory, v, shown):
+    """format_element's text for a number or a pair of numbers, and the
+    repr of any other value."""
+    with pytest.raises(EvalError) as err:
+        models.check_element(theory, v)
+    assert str(err.value) == f"element {shown} does not belong to the {theory.value} model"
+
+
+@pytest.mark.parametrize("theory,text,w,asg,want", [
+    (Theory.PRES_Z, "E u. x < u & D3(u + y)", Window(-6, 6), {"x": 1, "y": 2}, True),
+    (Theory.PRES_N, "E u. u < x & D2(u + y)", Window(0, 6), {"x": 1, "y": 1}, False),
+    (Theory.LEX_ZZ, "E u. x < u & u < y", Window((-2, -2), (2, 2)),
+     {"x": (0, 0), "y": (0, 2)}, True),
+    (Theory.DOAG_Q, "E u. x < u & u < y", Window(Fraction(-1), Fraction(1), 4),
+     {"x": Fraction(0), "y": Fraction(1, 2)}, None),
+    (ZQ, "E u. x < u & u < y", Window((-1, Fraction(-1)), (1, Fraction(1)), 4),
+     {"x": (0, Fraction(0)), "y": (0, Fraction(1, 2))}, None),
+], ids=["pres_z", "pres_n", "lex_zz", "doag_q", "lex_zq"])
+def test_integer_models_evaluate_without_scaling(monkeypatch, theory, text, w, asg, want):
+    """The compiled closure of a model with integer coordinates only reads
+    the assignment as it is; a rational model (want None) scales it."""
+    fn = models.compile_eval(theory, parse(text, theory), w)
+
+    def scaled(*args):
+        raise AssertionError("scaled")
+    monkeypatch.setattr(models, "_lift", scaled)
+    if want is None:
+        with pytest.raises(AssertionError, match="scaled"):
+            fn(asg)
+    else:
+        assert fn(asg) is want
+    with pytest.raises(EvalError, match=r"^unbound variable 'x'$"):
+        fn({"y": asg["y"]})
+
+
 @pytest.mark.parametrize("theory,w", [
     (Theory.PRES_Z, Window(-4, 4)),
     (Theory.DOAG_Q, Window(Fraction(-2), Fraction(2), 3)),
