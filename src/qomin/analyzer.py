@@ -164,23 +164,15 @@ def eventual_classes(theory: Theory, theta: Formula, params: list, direction: st
     dec = decompose(theory, theta, var)
     eventual_op = "above" if direction == POS else "below"
 
-    # each eligible disjunct's psi is compiled on its first use, after the
-    # element checks that eval_windowed makes, and reused for every tuple
-    eligible = [(i, d.psi) for i, d in enumerate(dec.disjuncts)
-                if all(op == eventual_op for op, _ in d.rho)]
-    compiled = {}
+    # every tuple's elements are checked before anything is compiled, and
+    # each eligible disjunct's psi is compiled once for all tuples
+    asgs = [dec.assignment(abar) for abar in params]
+    psis = {i: models.compile_eval(theory, d.psi, w) for i, d in enumerate(dec.disjuncts)
+            if all(op == eventual_op for op, _ in d.rho)}
     groups: dict[frozenset, list] = {}
-    for abar in params:
-        asg = dec.assignment(abar)
-        active = set()
-        for i, psi in eligible:
-            models.check_assignment(theory, psi, asg)
-            fn = compiled.get(i)
-            if fn is None:
-                fn = compiled[i] = models.compile_eval(theory, psi, w)
-            if fn(dict(asg)):
-                active.add(i)
-        groups.setdefault(frozenset(active), []).append(abar)
+    for abar, asg in zip(params, asgs):
+        active = frozenset(i for i, fn in psis.items() if fn(asg))
+        groups.setdefault(active, []).append(abar)
 
     classes = [
         EventualClass(members, active, simplify(or_(*(dec.disjuncts[i].phi for i in sorted(active)))))
@@ -191,9 +183,11 @@ def eventual_classes(theory: Theory, theta: Formula, params: list, direction: st
     xs = list(models.enumerate_window(theory, w))
     theta_fn = models.compile_eval(theory, theta, w)
     vectors = {}
-    for abar in params:
-        asg = dec.assignment(abar)
-        vectors[abar] = [theta_fn({**asg, var: x}) for x in xs]
+    for abar, point in zip(params, asgs):
+        vector = vectors[abar] = []
+        for x in xs:
+            point[var] = x
+            vector.append(theta_fn(point))
     same_ok = True
     collisions = []
     reps = [(c.active, c.members[0]) for c in classes]
@@ -308,16 +302,16 @@ class DensityReport:
         return out
 
 
-def density_check(n: int, w: Window, resolution: Fraction,
-                  cap: int | None = None) -> DensityReport:
+def density_check(n: int, w: Window, resolution: Fraction) -> DensityReport:
     """Check that every subinterval of the window of the given length meets
     both n*G and its complement, over the group of dyadic rationals.
 
     When n is a power of two the subgroup is the whole group (the dyadics
-    are 2-divisible) and the scan is skipped.  A scan of more than `cap`
-    intervals (default 10^6) raises WindowCapError before it starts."""
+    are 2-divisible) and the scan is skipped.  A scan of more intervals than
+    the window cap, read first whatever n is, raises WindowCapError up front."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    cap = models.window_cap()
     odd = n
     while odd % 2 == 0:
         odd //= 2
@@ -331,7 +325,6 @@ def density_check(n: int, w: Window, resolution: Fraction,
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    cap = models.DEFAULT_WINDOW_CAP if cap is None else cap
     if (count := -((lo - hi) // resolution)) > cap:  # ceil((hi - lo) / resolution)
         raise WindowCapError(f"density scan would check {count} intervals, cap is {cap}")
     report.dense = report.codense = True

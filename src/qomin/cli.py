@@ -8,7 +8,6 @@ Exit codes: 0 success (or decided true), 1 decided false, 2 usage error,
 from __future__ import annotations
 
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
@@ -81,19 +80,6 @@ def _parse_at(text: str, theory: Theory) -> dict:
             raise EvalError(f"variable {name!r} is bound twice in {text!r}")
         out[name] = models.parse_element(value, theory)
     return out
-
-
-def _window_cap() -> int | None:
-    raw = os.environ.get("QOMIN_WINDOW_CAP")
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise EvalError(f"QOMIN_WINDOW_CAP must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _read_formula(args) -> tuple[str, Theory]:
@@ -225,7 +211,7 @@ def _cmd_eval(args) -> int:
     asg = _parse_at(args.at, theory) if args.at else {}
     if args.window:
         w = _parse_window(args.window, theory)
-        value = models.eval_windowed(theory, f, asg, w, cap=_window_cap())
+        value = models.eval_windowed(theory, f, asg, w)
     elif is_quantifier_free(f):
         value = models.eval_qf(theory, f, asg)
     else:
@@ -271,7 +257,7 @@ def _cmd_verify(args) -> int:
         search_w = _parse_window(args.window, theory)
     if args.asg_window:
         asg_w = _parse_window(args.asg_window, theory)
-    total, mismatches = oracle_agreement(theory, f, asg_w, search_w, cap=_window_cap())
+    total, mismatches = oracle_agreement(theory, f, asg_w, search_w)
     ok = not mismatches
     payload = {
         "theory": theory.value,
@@ -352,7 +338,7 @@ def _cmd_density(args) -> int:
         res = 0
     if res <= 0:
         raise EvalError(f"--resolution must be a positive rational such as 1/32, got {text!r}")
-    rep = analyzer.density_check(args.n, w, res, cap=_window_cap())
+    rep = analyzer.density_check(args.n, w, res)
     payload = rep.to_json()
     lines = [payload["case"]]
     if not rep.whole_group:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -44,7 +45,7 @@ _SORTS: dict[Theory, str] = {
     Theory.TCHAIN: "zq",
 }
 _PAIR_THEORIES = tuple(t for t, s in _SORTS.items() if len(s) == 2)
-_RAT_THEORIES = tuple(t for t, s in _SORTS.items() if s in ("q", "d"))
+_INT_THEORIES = tuple(t for t, s in _SORTS.items() if all(c in "zn" for c in s))
 
 # the value of each constant symbol; a theory's signature admits only the
 # symbols whose value has its elements' shape
@@ -153,37 +154,49 @@ def _window_count(theory: Theory, w: Window) -> int:
     return n
 
 
-_ENUM_CACHE: dict[tuple, tuple] = {}
+def window_cap() -> int:
+    """The most elements a window holds and the most intervals a density scan
+    checks: QOMIN_WINDOW_CAP, or DEFAULT_WINDOW_CAP when it is unset or
+    empty.  EvalError unless it is a positive integer."""
+    raw = os.environ.get("QOMIN_WINDOW_CAP")
+    if not raw:
+        return DEFAULT_WINDOW_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise EvalError(f"QOMIN_WINDOW_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
-def enumerate_window(theory: Theory, w: Window, cap: int | None = None) -> tuple:
-    """Deterministic, duplicate-free, model-ordered finite enumeration."""
-    cap = DEFAULT_WINDOW_CAP if cap is None else cap
+# one entry per window, under (theory, lo, hi, denom): its elements, then
+# from the first compile over it on (L, scaled elements) (see _scaled_window)
+_WINDOWS: dict[tuple, list] = {}
+
+
+def enumerate_window(theory: Theory, w: Window) -> tuple:
+    """Deterministic, duplicate-free, model-ordered finite enumeration of at
+    most `window_cap()` elements, checked again on every call."""
+    cap = window_cap()
     key = (theory, w.lo, w.hi, w.denom)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        if len(cached) > cap:
-            raise WindowCapError(f"window holds {len(cached)} elements, cap is {cap}")
-        return cached
-    if _SORTS[theory] != "n":
-        check_element(theory, w.lo)
-    if _window_count(theory, w) > cap:
-        raise WindowCapError(
-            f"window would enumerate about {_window_count(theory, w)} elements, cap is {cap}"
-        )
-    ranges = [_coord_range(sort, lo, hi, w.denom) for sort, lo, hi in _coords(theory, w)]
-    vals = tuple(itertools.product(*ranges)) if len(ranges) == 2 else tuple(ranges[0])
-    if len(vals) > cap:
-        raise WindowCapError(f"window holds {len(vals)} elements, cap is {cap}")
-    _ENUM_CACHE[key] = vals
-    return vals
+    entry = _WINDOWS.get(key)
+    if entry is None:
+        if _SORTS[theory] != "n":
+            check_element(theory, w.lo)
+        if (count := _window_count(theory, w)) > cap:
+            raise WindowCapError(f"window would enumerate about {count} elements, cap is {cap}")
+        ranges = [_coord_range(sort, lo, hi, w.denom) for sort, lo, hi in _coords(theory, w)]
+        vals = tuple(itertools.product(*ranges)) if len(ranges) == 2 else tuple(ranges[0])
+        entry = _WINDOWS[key] = [vals]
+    if len(entry[0]) > cap:
+        raise WindowCapError(f"window holds {len(entry[0])} elements, cap is {cap}")
+    return entry[0]
 
 
 # ---------------------------------------------------------------------------
 # Exact integer scaling: a rational coordinate q is evaluated as the integer
 # q*L for a common multiple L of the denominators in play (see compile_eval)
-
-_SCALED_CACHE: dict[tuple, tuple[int, tuple]] = {}
 
 
 def _coord(theory: Theory, v: Element):
@@ -200,16 +213,15 @@ def _lift(theory: Theory, v: Element, L: int):
     return v.numerator * (L // v.denominator)
 
 
-def _scaled_window(theory: Theory, w: Window, cap: int | None) -> tuple[int, tuple]:
+def _scaled_window(theory: Theory, w: Window) -> tuple[int, tuple]:
     """(L, scaled elements) for the window: L is the lcm of the element
-    denominators.  Cached under the enumeration's key."""
-    elems = enumerate_window(theory, w, cap)
-    key = (theory, w.lo, w.hi, w.denom)
-    cached = _SCALED_CACHE.get(key)
-    if cached is None:
+    denominators.  Kept in the window's entry after its elements."""
+    elems = enumerate_window(theory, w)
+    entry = _WINDOWS[(theory, w.lo, w.hi, w.denom)]
+    if len(entry) == 1:
         L = math.lcm(1, *{_coord(theory, e).denominator for e in elems})
-        cached = _SCALED_CACHE[key] = (L, tuple(_lift(theory, e, L) for e in elems))
-    return cached
+        entry.append((L, tuple(_lift(theory, e, L) for e in elems)))
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +344,7 @@ def _compile_atom(theory: Theory, atom, L: int) -> Callable[[Assignment], bool]:
                 t0, t1 = coordinate(t, 0), coordinate(t, 1)
                 return lambda a: t0(a) % m == 0 and t1(a) % m == 0
             raise EvalError(f"divisibility has no interpretation in {theory.value}")
-        case Pred("Qp", _, (t,)) if theory in _RAT_THEORIES:
+        case Pred("Qp", _, (t,)) if _SORTS[theory] in ("q", "d"):
             # q is dyadic iff its reduced denominator L/gcd(q*L, L) is a power
             # of two, i.e. iff the odd part of L divides q*L
             odd = L // (L & -L)
@@ -470,8 +482,7 @@ def _compile_scaled(theory: Theory, f: Formula, L: int,
 
 
 def compile_eval(theory: Theory, f: Formula,
-                 window: Window | None = None,
-                 cap: int | None = None) -> Callable[[Assignment], bool]:
+                 window: Window | None = None) -> Callable[[Assignment], bool]:
     """Compile a formula to a closure over assignments.
 
     Quantifiers require a window; without one any quantifier raises
@@ -519,7 +530,7 @@ def compile_eval(theory: Theory, f: Formula,
       is evaluated at every element that is visited.
     """
     f = miniscope(f)
-    L0, elems0 = (1, None) if window is None else _scaled_window(theory, window, cap)
+    L0, elems0 = (1, None) if window is None else _scaled_window(theory, window)
     plans: dict[int, Callable[[Assignment], bool]] = {}
 
     def plan(L: int) -> Callable[[Assignment], bool]:
@@ -535,7 +546,7 @@ def compile_eval(theory: Theory, f: Formula,
     fvs = tuple(sorted(free_vars(f)))
     # with integer coordinates only, L0 == 1 and each element is its own
     # scaled value
-    integer = all(s in "zn" for s in _SORTS[theory])
+    integer = theory in _INT_THEORIES
 
     def run(asg: Mapping[str, Element]) -> bool:
         try:
@@ -571,7 +582,7 @@ def eval_qf(theory: Theory, f: Formula, asg: Mapping[str, Element]) -> bool:
 
 
 def eval_windowed(theory: Theory, f: Formula, asg: Mapping[str, Element],
-                  w: Window, cap: int | None = None) -> bool:
+                  w: Window) -> bool:
     """Evaluate with quantifiers ranging over the window.
 
     This is an approximation of model truth that is exact exactly when all
@@ -581,7 +592,7 @@ def eval_windowed(theory: Theory, f: Formula, asg: Mapping[str, Element],
     common multiple of every denominator in the window and the assignment.
     """
     check_assignment(theory, f, asg)
-    return compile_eval(theory, f, w, cap)(dict(asg))
+    return compile_eval(theory, f, w)(dict(asg))
 
 
 def format_element(v: Element) -> str:
@@ -606,10 +617,11 @@ def parse_element(text: str, theory: Theory) -> Element:
     """Parse 'n', 'p/q', or '(a, p/q)' into a model element.  A numeral of
     the wrong kind raises EvalError naming the text and the theory."""
     text = text.strip()
+    sorts = _SORTS[theory]
 
-    def number(part: str, integer: bool):
+    def number(part: str, sort: str):
         try:
-            return int(part) if integer else parse_rational(part)
+            return int(part) if sort in "zn" else parse_rational(part)
         except ValueError:
             raise EvalError(f"{text!r} is not an element of the {theory.value} model") from None
 
@@ -620,8 +632,9 @@ def parse_element(text: str, theory: Theory) -> Element:
         parts = inner.split(",")
         if len(parts) != 2:
             raise EvalError(f"malformed pair {text!r}")
-        v: Element = (number(parts[0], True), number(parts[1], theory == Theory.LEX_ZZ))
+        # a pair in a scalar model is read as a lex_zq one, and rejected below
+        v: Element = tuple(map(number, parts, sorts if len(sorts) == 2 else "zq"))
     else:
-        v = number(text, theory not in _RAT_THEORIES)
+        v = number(text, sorts[0])
     check_element(theory, v)
     return v

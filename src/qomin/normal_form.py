@@ -30,7 +30,7 @@ from .qe import (
 from .syntax import (
     And, Bool, Div, Eq, Exists, FALSE, Forall, Formula, Lt, Not, Or, Pred,
     Solved, TRUE, Term, Theory, and_, bound_vars, free_vars, is_quantifier_free,
-    map_atoms, or_, print_formula, solve_for, substitute, term_vars, to_nnf,
+    map_atoms, or_, print_formula, solve_for, substitute, to_nnf,
     validate,
 )
 
@@ -360,9 +360,11 @@ class Decomposition:
     witnesses: list[WitnessSpec]
 
     def assignment(self, abar: tuple[Element, ...]) -> dict[str, Element]:
-        """The parameters bound to abar, which gives one value for each."""
+        """The parameters bound to abar, which gives one model element each."""
         if len(abar) != len(self.params):
             raise EvalError(f"expected {len(self.params)} parameter values, got {len(abar)}")
+        for v in abar:
+            models.check_element(self.theory, v)
         return dict(zip(self.params, abar))
 
     def check_shape(self) -> None:
@@ -503,7 +505,7 @@ def decompose(theory: Theory, theta: Formula, x: str) -> Decomposition:
 
     def maybe_replace(a):
         s = solve_for(a, x)
-        if isinstance(s, Solved) or x in term_vars(s):
+        if isinstance(s, Solved) or x in free_vars(s):
             return replace(s, x, reg)
         return s
 
@@ -587,7 +589,7 @@ def _replace_pres(s, x: str, reg: _Registry) -> Formula:
             return map_atoms(
                 split,
                 lambda atom: _unary_div_residues(atom.modulus, atom.arg.coeff(x), atom.arg.drop_var(x), x)
-                if isinstance(atom, Div) and x in term_vars(atom)
+                if isinstance(atom, Div) and x in free_vars(atom)
                 else atom,
             )
     raise DecompositionError(f"unsupported integer atom {s}")

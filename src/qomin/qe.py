@@ -305,7 +305,7 @@ def _integer_sort(theory: Theory, sorts=()) -> Callable[[str], bool]:
     """Which variables have integer sort: every one in pres_z, pres_n (after
     translate_nat) and lex_zz, the integer components among a lex_zq
     ComponentFormula's sorts, and none in the dense theories."""
-    if theory in (Theory.PRES_Z, Theory.PRES_N, Theory.LEX_ZZ):
+    if theory in models._INT_THEORIES:
         return lambda v: True
     return {name for name, sort in sorts if sort == "z"}.__contains__
 
@@ -761,8 +761,7 @@ def qe(theory: Theory, f: Formula):
     return out if split is None else ComponentFormula(theory, out, split.pairs, split.sorts)
 
 
-def oracle_agreement(theory: Theory, f: Formula, asg_window, search_window,
-                     cap: int | None = None):
+def oracle_agreement(theory: Theory, f: Formula, asg_window, search_window):
     """Compare windowed truth of f against its quantifier-free image under
     qe, over every assignment of the free variables drawn from the
     assignment window.
@@ -773,8 +772,8 @@ def oracle_agreement(theory: Theory, f: Formula, asg_window, search_window,
 
     out = qe(theory, f)
     fvs = sorted(free_vars(f))
-    elems = models.enumerate_window(theory, asg_window, cap)
-    f_fn = models.compile_eval(theory, f, search_window, cap)
+    elems = models.enumerate_window(theory, asg_window)
+    f_fn = models.compile_eval(theory, f, search_window)
     out_fn = _compile_output(theory, out)
     total = 0
     mismatches = []

@@ -431,11 +431,6 @@ def atoms(f: Formula) -> Iterator[Atom]:
             yield from atoms(body)
 
 
-def term_vars(atom: Atom) -> frozenset[str]:
-    """The variables of an atom's terms: its free variables."""
-    return free_vars(atom)
-
-
 def free_vars(f: Formula) -> frozenset[str]:
     """The free variables of f, computed once per node; equal sets are one
     shared object."""

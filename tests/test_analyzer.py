@@ -244,10 +244,12 @@ def test_density_mixed_factor():
     assert rep.odd_part == 3
 
 
-def test_density_scan_cap():
+def test_density_scan_cap(monkeypatch):
+    monkeypatch.setenv("QOMIN_WINDOW_CAP", "1023")
     with pytest.raises(WindowCapError):
-        density_check(3, DY_WINDOW, Fraction(1, 32), cap=1023)
-    assert density_check(3, DY_WINDOW, Fraction(1, 32), cap=1024).intervals_checked == 1024
+        density_check(3, DY_WINDOW, Fraction(1, 32))
+    monkeypatch.setenv("QOMIN_WINDOW_CAP", "1024")
+    assert density_check(3, DY_WINDOW, Fraction(1, 32)).intervals_checked == 1024
 
 
 def test_density_large_modulus_is_one_step_per_interval():

@@ -78,6 +78,27 @@ def test_malformed_window_cap_exits_three(capsys, monkeypatch, raw):
     assert err == f"qomin: QOMIN_WINDOW_CAP must be a positive integer, got {raw!r}\n"
 
 
+def test_window_cap_read_by_every_window(capsys, monkeypatch):
+    """classes and decompose --verify obey QOMIN_WINDOW_CAP like eval, and
+    density reads it even when n leaves nothing to scan."""
+    classes = ["classes", "--theory", "pres_z", "D2(x - y)", "--var", "x",
+               "--params", "0;1", "--window", "-8,8"]
+    decompose = ["decompose", "--theory", "pres_z", "x < y", "--var", "x",
+                 "--at", "y=1", "--verify", "--window", "-4,4"]
+    density = ["density", "--n", "4"]
+    for argv in (classes, decompose, density):
+        assert capture(capsys, argv)[0] == 0
+    monkeypatch.setenv("QOMIN_WINDOW_CAP", "5")
+    for argv in (classes, decompose):
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (4, "") and err.endswith(", cap is 5\n")
+    monkeypatch.setenv("QOMIN_WINDOW_CAP", "abc")
+    for argv in (classes, decompose, density):
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "qomin: QOMIN_WINDOW_CAP must be a positive integer, got 'abc'\n"
+
+
 def test_eval_windowed(capsys):
     code, out, _ = capture(capsys, ["eval", "--theory", "pres_z", "E x. 2*x = y",
                                     "--at", "y=6", "--window", "-10,10"])

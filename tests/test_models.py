@@ -16,7 +16,7 @@ from qomin.models import (
 )
 from qomin.syntax import (
     And, Bool, Div, Eq, Exists, Forall, Iff, Implies, Lt, Not, Or, Pred, Term,
-    Theory, atoms, free_vars, map_atoms, parse, term_vars,
+    Theory, atoms, free_vars, map_atoms, parse,
 )
 
 ZQ = Theory.LEX_ZQ
@@ -94,11 +94,12 @@ def test_naturals_window_clamps_at_zero():
     assert enumerate_window(Theory.PRES_N, Window(-3, 3)) == (0, 1, 2, 3)
 
 
-def test_window_cap():
+def test_window_cap(monkeypatch):
     with pytest.raises(WindowCapError):
         enumerate_window(Theory.PRES_Z, Window(-10**7, 10**7))
+    monkeypatch.setenv("QOMIN_WINDOW_CAP", "10")
     with pytest.raises(WindowCapError):
-        enumerate_window(Theory.PRES_Z, Window(-100, 100), cap=10)
+        enumerate_window(Theory.PRES_Z, Window(-100, 100))
 
 
 def test_tag_mismatch_rejected():
@@ -139,10 +140,12 @@ def test_each_theory_model(monkeypatch, theory, zero, w, elems, count, foreign):
 
     z = models.zero_element(theory)
     assert z == zero and sorts([z]) == sorts([zero])
-    monkeypatch.setattr(models, "_ENUM_CACHE", {})
+    monkeypatch.setattr(models, "_WINDOWS", {})
+    monkeypatch.setenv("QOMIN_WINDOW_CAP", "1")
     with pytest.raises(WindowCapError,
                        match=rf"^window would enumerate about {count} elements, cap is 1$"):
-        enumerate_window(theory, w, cap=1)
+        enumerate_window(theory, w)
+    monkeypatch.delenv("QOMIN_WINDOW_CAP")
     got = enumerate_window(theory, w)
     assert got == elems and sorts(got) == sorts(elems)
     for e in got:
@@ -366,7 +369,7 @@ def test_compiled_atoms_agree_with_fraction_reading():
     checked = 0
     for theory, atom in _corpus_atoms():
         asg_w, search_w = corpus.windows(theory)
-        fvs = sorted(term_vars(atom))
+        fvs = sorted(free_vars(atom))
         unscaled = models.compile_eval(theory, atom)
         scaled = models.compile_eval(theory, atom, search_w)
         for combo in itertools.product(enumerate_window(theory, asg_w), repeat=len(fvs)):
@@ -463,11 +466,11 @@ def test_cli_eval_off_grid_assignment(capsys, at, value):
 
 def test_scaled_window_is_cached_under_the_enumeration_key():
     w = Window(Fraction(-3), Fraction(3), 8)
-    L, elems = models._scaled_window(Theory.DLO_PRED, w, None)
+    L, elems = models._scaled_window(Theory.DLO_PRED, w)
     assert L == 840
     assert elems == tuple(int(q * L) for q in enumerate_window(Theory.DLO_PRED, w))
-    assert models._scaled_window(Theory.DLO_PRED, w, None)[1] is elems
-    assert (Theory.DLO_PRED, w.lo, w.hi, w.denom) in models._SCALED_CACHE
+    assert models._scaled_window(Theory.DLO_PRED, w)[1] is elems
+    assert models._WINDOWS[(Theory.DLO_PRED, w.lo, w.hi, w.denom)][1] == (L, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +524,7 @@ def test_corpus_windows_increase_under_the_compiled_order():
     x_lt_y = Lt(Term.var("x"), Term.var("y"))
     for theory, pair in corpus.WINDOWS.items():
         for w in pair:
-            L, elems = models._scaled_window(theory, w, None)
+            L, elems = models._scaled_window(theory, w)
             for k in (1, 3):
                 lt = models._compile_atom(theory, x_lt_y, L * k)
                 lifted = [models._lift(theory, e, k) for e in elems] if k > 1 else elems

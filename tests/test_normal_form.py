@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qomin import corpus, models
-from qomin.errors import DecompositionError
+from qomin.errors import DecompositionError, EvalError
 from qomin.models import Window, enumerate_window, eval_qf, eval_windowed
 from qomin.normal_form import (
     Decomposition, Disjunct, ProcedureWitness, TermWitness, decompose, delta,
@@ -336,6 +336,22 @@ def test_witness_arity_mismatch():
     dec = decompose(Theory.PRES_Z, parse("x + x = y", Theory.PRES_Z), "x")
     with pytest.raises(Exception):
         witnesses(Theory.PRES_Z, dec, (1, 2))
+
+
+def test_parameter_outside_the_model_rejected():
+    """A parameter value of another sort is an input error wherever a
+    decomposition is instantiated, not a witness or a passing check."""
+    from qomin.analyzer import POS, eventual_classes
+    Z = Theory.PRES_Z
+    theta = parse("x < y", Z)
+    dec = decompose(Z, theta, "x")
+    half = (Fraction(1, 2),)
+    with pytest.raises(EvalError, match="^element 1/2 does not belong to the pres_z model$"):
+        witnesses(Z, dec, half)
+    with pytest.raises(EvalError, match="^element 1/2 does not belong to the pres_z model$"):
+        verify_decomposition(Z, theta, dec, half, Window(-4, 4))
+    with pytest.raises(EvalError, match="^element 1/2 does not belong to the pres_z model$"):
+        eventual_classes(Z, theta, [half, (3,)], POS, Window(-4, 4))
 
 
 # ---------------------------------------------------------------------------

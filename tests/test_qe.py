@@ -299,9 +299,9 @@ def test_rewrite_divisibility_two_one():
 def test_rewrite_divisibility_separates_variables():
     """No atom of the split mentions both x and a parameter."""
     out = rewrite_divisibility(3, 2, Term.var("y") + Term.const(1))
-    from qomin.syntax import atoms, term_vars
+    from qomin.syntax import atoms, free_vars
     for atom in atoms(out):
-        assert term_vars(atom) != {"x", "y"}
+        assert free_vars(atom) != {"x", "y"}
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (2, 3), (3, 2)])
